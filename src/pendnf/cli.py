@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import dynamics, elliptic, normal_form
 from .dynamics import FlowFactors, NormalCoords, PendulumParams, PhaseState, ScaledCoords
 from .elliptic import Modulus
@@ -34,18 +32,28 @@ SUITES = (
     "theta",
 )
 
-SERIES_NAMES = ("g0", "U", "D", "a2", "calU", "W", "Us")
+# name -> (the normalized series at an order, the factor that reinstates I
+# and g in its n-th coefficient given s32 = 32*I*g and g); the argument scale
+# of the normal-form energies folds into the coefficients.  The builders look
+# normal_form's functions up per call, so a rebinding (the benchmark tracer's)
+# reaches them.
+_SERIES = {
+    "g0": (lambda order: normal_form.g0_series(order), lambda n, s32, g: g),
+    "U": (lambda order: normal_form.energy_series(order), lambda n, s32, g: s32 * g),
+    "D": (lambda order: normal_form.jacobian_series(order), lambda n, s32, g: s32),
+    "a2": (lambda order: normal_form.rescale_sq_series(order), lambda n, s32, g: s32),
+    "calU": (
+        lambda order: normal_form.normal_energy_series(order),
+        lambda n, s32, g: s32 * g / s32**n,
+    ),
+    "W": (
+        lambda order: normal_form.stable_bundle(order).normal_energy,
+        lambda n, s32, g: s32 * g / (2 * s32) ** n,
+    ),
+    "Us": (lambda order: normal_form.stable_bundle(order).energy, lambda n, s32, g: s32 * g),
+}
+SERIES_NAMES = tuple(_SERIES)
 TRAJECTORY_METHODS = ("closed", "series", "normal", "rk")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    order: int | None = None
-    tol: float | None = None
-    params: PendulumParams = PendulumParams(1.0, 1.0)
-    fmt: str = "text"
-    output: str | None = None
 
 
 @dataclass(frozen=True)
@@ -72,11 +80,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -91,9 +106,19 @@ def _fraction(text: str) -> Fraction:
 
 def _capped_order(order: int) -> int:
     cap = os.environ.get("PEND_NF_MAX_ORDER")
-    if cap is not None:
+    if cap is None:
+        return order
+    try:
         return min(order, max(1, int(cap)))
-    return order
+    except ValueError:
+        raise ValueError(f"PEND_NF_MAX_ORDER must be an integer, got {cap!r}") from None
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace(start, stop, num) element for element, with its
+    arithmetic: i * step + start, and the last point exactly stop."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +134,8 @@ def jacobian_grid(par: PendulumParams) -> list[NormalCoords]:
     -0.08 * 32*I*g as x' -> -1, so the grid stays well inside that bound.
     """
     pts = []
-    order = dynamics.DEFAULT_ORDER
     for x_prime in (-0.1, -0.05, 0.02, 0.05, 0.1):
-        x = par.action_scale * normal_form.x_of_nome_series(order)(x_prime)
+        x = dynamics.action_from_nome(x_prime, par)
         t = math.sqrt(abs(x))
         pts.append(NormalCoords(t, x / t))
         t *= 1.4
@@ -122,15 +146,15 @@ def jacobian_grid(par: PendulumParams) -> list[NormalCoords]:
     return pts
 
 
-def _suite_elliptic(order: int, tol: float | None) -> list[CheckResult]:
+def _suite_elliptic(order: int, tol: float | None, par: PendulumParams) -> list[CheckResult]:
     tol = 1e-12 if tol is None else tol
     results = []
-    us = np.linspace(-3.0, 3.0, 13)
+    us = _linspace(-3.0, 3.0, 13)
     ms = (0.1, 0.5, 0.9, 0.99)
     worst_sc = worst_dn = 0.0
     for m in ms:
         for u in us:
-            _, sn, cn, dn = elliptic.jacobi_elliptic(float(u), m)
+            _, sn, cn, dn = elliptic.jacobi_elliptic(u, m)
             worst_sc = max(worst_sc, abs(sn * sn + cn * cn - 1.0))
             worst_dn = max(worst_dn, abs(dn * dn + (m * sn) ** 2 - 1.0))
     results.append(CheckResult("jacobi_identity_sncn", worst_sc <= tol, worst_sc, tol))
@@ -140,14 +164,14 @@ def _suite_elliptic(order: int, tol: float | None) -> list[CheckResult]:
     worst = 0.0
     for m in ms:
         period = 4.0 * elliptic.complete_k(m)
-        for u in np.linspace(-2.0, 2.0, 9):
-            s0 = elliptic.jacobi_elliptic(float(u), m)[1]
-            s1 = elliptic.jacobi_elliptic(float(u) + period, m)[1]
+        for u in _linspace(-2.0, 2.0, 9):
+            s0 = elliptic.jacobi_elliptic(u, m)[1]
+            s1 = elliptic.jacobi_elliptic(u + period, m)[1]
             worst = max(worst, abs(s1 - s0))
     results.append(CheckResult("jacobi_periodicity", worst <= period_tol, worst, period_tol))
 
-    hs = np.linspace(0.01, 0.99, 100)
-    nomes = [elliptic.nome_from_h(Modulus.from_h(float(h))) for h in hs]
+    hs = _linspace(0.01, 0.99, 100)
+    nomes = [elliptic.nome_from_h(Modulus.from_h(h)) for h in hs]
     min_step = min(b - a for a, b in zip(nomes, nomes[1:]))
     results.append(
         CheckResult("nome_monotonic", min_step > 0.0, min_step, 0.0, "must exceed tolerance")
@@ -155,17 +179,17 @@ def _suite_elliptic(order: int, tol: float | None) -> list[CheckResult]:
 
     worst = max(
         abs(
-            elliptic.lambda_from_h(Modulus.from_h(float(h)))
-            - elliptic.lambda_from_nome(elliptic.nome_from_h(Modulus.from_h(float(h))))
+            elliptic.lambda_from_h(Modulus.from_h(h))
+            - elliptic.lambda_from_nome(elliptic.nome_from_h(Modulus.from_h(h)))
         )
-        for h in np.linspace(0.05, 0.9, 18)
+        for h in _linspace(0.05, 0.9, 18)
     )
     results.append(CheckResult("lambda_theta_quotient", worst <= tol, worst, tol))
 
     worst = 0.0
     floor = 0.0
-    for h in np.linspace(0.05, 0.9, 18):
-        mod = Modulus.from_h(float(h))
+    for h in _linspace(0.05, 0.9, 18):
+        mod = Modulus.from_h(h)
         a = elliptic.g0_eval(mod, 1.0)
         b = elliptic.g0_from_nome(elliptic.nome_from_h(mod), 1.0)
         worst = max(worst, abs(a - b) / a)
@@ -175,16 +199,16 @@ def _suite_elliptic(order: int, tol: float | None) -> list[CheckResult]:
     return results
 
 
-def _suite_legendre(order: int, tol: float | None) -> list[CheckResult]:
+def _suite_legendre(order: int, tol: float | None, par: PendulumParams) -> list[CheckResult]:
     tol = 1e-12 if tol is None else tol
     worst = max(
-        abs(elliptic.legendre_defect(Modulus.from_h(float(h))))
-        for h in np.linspace(0.05, 0.95, 50)
+        abs(elliptic.legendre_defect(Modulus.from_h(h)))
+        for h in _linspace(0.05, 0.95, 50)
     )
     return [CheckResult("legendre_defect_grid", worst <= tol, worst, tol)]
 
 
-def _suite_identity51(order: int, tol: float | None) -> list[CheckResult]:
+def _suite_identity51(order: int, tol: float | None, par: PendulumParams) -> list[CheckResult]:
     report = normal_form.rescaling_identity_check(order)
     measured = -1.0 if report.first_mismatch is None else float(report.first_mismatch)
     return [
@@ -198,7 +222,7 @@ def _suite_identity51(order: int, tol: float | None) -> list[CheckResult]:
     ]
 
 
-def _suite_theta(order: int, tol: float | None) -> list[CheckResult]:
+def _suite_theta(order: int, tol: float | None, par: PendulumParams) -> list[CheckResult]:
     report = normal_form.theta_logderiv_check(order)
     measured = -1.0 if report.first_mismatch is None else float(report.first_mismatch)
     return [
@@ -214,8 +238,8 @@ def _suite_theta(order: int, tol: float | None) -> list[CheckResult]:
 
 def _suite_factorization(order: int, tol: float | None, par: PendulumParams) -> list[CheckResult]:
     tol = 1e-8 if tol is None else tol
-    gammas = np.linspace(0.5, 2.0, 7)
-    reports = [dynamics.factorization_check(0.1, float(g), par) for g in gammas]
+    gammas = _linspace(0.5, 2.0, 7)
+    reports = [dynamics.factorization_check(0.1, g, par) for g in gammas]
     worst = max(r.rel_diff for r in reports)
     values = [r.energy_factored for r in reports]
     spread = (max(values) - min(values)) / abs(reports[0].energy_direct)
@@ -244,11 +268,11 @@ def _suite_dynamics(order: int, tol: float | None, par: PendulumParams) -> list[
     results = []
     mod = Modulus.from_k(1.0)
     horizon = 10.0 / par.g
-    times = np.linspace(0.0, horizon, 101)
+    times = _linspace(0.0, horizon, 101)
     start = PhaseState(B=2.0 * par.I * par.g / mod.k, beta=0.0)
-    rk_states = dynamics._rk_batch(start, par, [float(t) for t in times], 1e-12)
+    rk_states = dynamics._rk_batch(start, par, times, 1e-12)
     worst = max(
-        abs(dynamics.closed_form_state(float(t), mod, par).beta - s.beta)
+        abs(dynamics.closed_form_state(t, mod, par).beta - s.beta)
         for t, s in zip(times, rk_states)
     )
     rk_tol = 1e-8 if tol is None else tol
@@ -260,9 +284,9 @@ def _suite_dynamics(order: int, tol: float | None, par: PendulumParams) -> list[
         mod = Modulus.from_h(h)
         xp = elliptic.nome_from_h(mod)
         g0 = elliptic.g0_from_nome(xp, par.g)
-        for t in np.linspace(0.0, 5.0 / par.g, 41):
-            c = dynamics.closed_form_state(float(t), mod, par)
-            s = dynamics.series_state(FlowFactors.at_time(g0, float(t)), xp, par)
+        for t in _linspace(0.0, 5.0 / par.g, 41):
+            c = dynamics.closed_form_state(t, mod, par)
+            s = dynamics.series_state(FlowFactors.at_time(g0, t), xp, par)
             worst = max(worst, abs(c.B - s.B) / (par.I * par.g), abs(c.beta - s.beta))
     results.append(CheckResult("closed_vs_series", worst <= series_tol, worst, series_tol))
 
@@ -271,9 +295,9 @@ def _suite_dynamics(order: int, tol: float | None, par: PendulumParams) -> list[
     for h in (0.3, 0.7):
         mod = Modulus.from_h(h)
         energy = 2.0 * par.g**2 * par.I / mod.k**2
-        for t in np.linspace(0.0, horizon, 101):
+        for t in _linspace(0.0, horizon, 101):
             drift = abs(
-                dynamics.hamiltonian(dynamics.closed_form_state(float(t), mod, par), par)
+                dynamics.hamiltonian(dynamics.closed_form_state(t, mod, par), par)
                 - energy
             ) / energy
             worst = max(worst, drift)
@@ -333,28 +357,29 @@ def _suite_stable(order: int, tol: float | None, par: PendulumParams) -> list[Ch
     return results
 
 
-def run_verify(cfg: RunConfig, suite: str) -> int:
-    order = _capped_order(cfg.order if cfg.order is not None else 200)
-    par = cfg.params
-    builders = {
-        "elliptic": lambda: _suite_elliptic(order, cfg.tol),
-        "legendre": lambda: _suite_legendre(order, cfg.tol),
-        "identity51": lambda: _suite_identity51(order, cfg.tol),
-        "theta": lambda: _suite_theta(order, cfg.tol),
-        "factorization": lambda: _suite_factorization(order, cfg.tol, par),
-        "jacobian": lambda: _suite_jacobian(order, cfg.tol, par),
-        "dynamics": lambda: _suite_dynamics(order, cfg.tol, par),
-        "stable": lambda: _suite_stable(order, cfg.tol, par),
+def run_verify(args: argparse.Namespace) -> int:
+    order = _capped_order(args.order)
+    par = PendulumParams(I=args.I, g=args.g)
+    # built per call, so a rebound _suite_* name (the benchmark tracer's) runs
+    suites = {
+        "elliptic": _suite_elliptic,
+        "legendre": _suite_legendre,
+        "identity51": _suite_identity51,
+        "theta": _suite_theta,
+        "factorization": _suite_factorization,
+        "jacobian": _suite_jacobian,
+        "dynamics": _suite_dynamics,
+        "stable": _suite_stable,
     }
-    names = sorted(builders) if suite == "all" else [suite]
+    names = sorted(suites) if args.suite == "all" else [args.suite]
     results: list[CheckResult] = []
     for name in names:
-        results.extend(builders[name]())
+        results.extend(suites[name](order, args.tol, par))
     results.sort(key=lambda r: r.name)
     lines = [r.line() for r in results]
     passed = all(r.passed for r in results)
     lines.append(f"{'OK' if passed else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0 if passed else 1
 
 
@@ -362,62 +387,28 @@ def run_verify(cfg: RunConfig, suite: str) -> int:
 # coefficient tables
 
 
-def _build_series(name: str, order: int) -> RationalSeries:
-    if name == "g0":
-        return normal_form.g0_series(order)
-    if name == "U":
-        return normal_form.energy_series(order)
-    if name == "D":
-        return normal_form.jacobian_series(order)
-    if name == "a2":
-        return normal_form.rescale_sq_series(order)
-    if name == "calU":
-        return normal_form.normal_energy_series(order)
-    if name == "W":
-        return normal_form.stable_bundle(order).normal_energy
-    if name == "Us":
-        return normal_form.stable_bundle(order).energy
-    raise ValueError(f"unknown series {name!r}")
-
-
-def _physical_series(name: str, s: RationalSeries, inertia: Fraction, g: Fraction) -> RationalSeries:
-    """Reinstate dimensional factors; the argument scale of the normal-form
-    energies folds into the coefficients."""
-    s32 = 32 * inertia * g
-    if name == "g0":
-        factors = [g] * (s.order + 1)
-    elif name in ("U", "Us"):
-        factors = [s32 * g] * (s.order + 1)
-    elif name in ("D", "a2"):
-        factors = [s32] * (s.order + 1)
-    elif name == "calU":
-        factors = [s32 * g / s32**n for n in range(s.order + 1)]
-    elif name == "W":
-        factors = [s32 * g / (2 * s32) ** n for n in range(s.order + 1)]
-    else:
-        raise ValueError(f"unknown series {name!r}")
-    return RationalSeries(tuple(c * f for c, f in zip(s.coeffs, factors)), s.var)
-
-
-def run_coeffs(cfg: RunConfig, name: str, physical: tuple[Fraction, Fraction] | None) -> int:
-    order = _capped_order(cfg.order if cfg.order is not None else 20)
-    series = _build_series(name, order)
+def run_coeffs(args: argparse.Namespace) -> int:
+    build, factor = _SERIES[args.series]
+    series = build(_capped_order(args.order))
     convention = "normalized (g = 1, 32*I*g = 1)"
-    if physical is not None:
-        inertia, g = physical
-        series = _physical_series(name, series, inertia, g)
+    if args.physical:
+        inertia, g = args.I_exact, args.g_exact
+        s32 = 32 * inertia * g
+        series = RationalSeries(
+            tuple(c * factor(n, s32, g) for n, c in enumerate(series.coeffs)), series.var
+        )
         convention = f"physical (I = {inertia}, g = {g})"
 
-    if cfg.fmt == "json":
-        _emit(series.to_json() + "\n", cfg.output)
-    elif cfg.fmt == "csv":
-        lines = [f"# series={name} convention={convention}", "power,numerator,denominator"]
+    if args.format == "json":
+        _emit(series.to_json() + "\n", args.output)
+    elif args.format == "csv":
+        lines = [f"# series={args.series} convention={convention}", "power,numerator,denominator"]
         for n, c in enumerate(series.coeffs):
             lines.append(f"{n},{c.numerator},{c.denominator}")
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", args.output)
     else:
-        lines = [f"series {name}, {convention}", str(series)]
-        _emit("\n".join(lines) + "\n", cfg.output)
+        lines = [f"series {args.series}, {convention}", str(series)]
+        _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -425,8 +416,8 @@ def run_coeffs(cfg: RunConfig, name: str, physical: tuple[Fraction, Fraction] | 
 # trajectories and map queries
 
 
-def run_trajectory(cfg: RunConfig, args) -> int:
-    par = cfg.params
+def run_trajectory(args: argparse.Namespace) -> int:
+    par = PendulumParams(I=args.I, g=args.g)
     if args.h is not None:
         mod = Modulus.from_h(args.h)
     else:
@@ -438,16 +429,15 @@ def run_trajectory(cfg: RunConfig, args) -> int:
     lines = ["t,B,beta,energy,method"]
     for r in records:
         lines.append(f"{r.t:.17g},{r.B:.17g},{r.beta:.17g},{r.energy:.17g},{r.method}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def run_map(cfg: RunConfig, args) -> int:
-    par = cfg.params
-    order = _capped_order(cfg.order if cfg.order is not None else dynamics.DEFAULT_ORDER)
+def run_map(args: argparse.Namespace) -> int:
+    par = PendulumParams(I=args.I, g=args.g)
     n = NormalCoords(args.p, args.q)
-    x_prime = dynamics.nome_from_action(n.x, par, order)
-    state = dynamics.canonical_from_normal(n, par, order)
+    x_prime = dynamics.nome_from_action(n.x, par)
+    state = dynamics.canonical_from_normal(n, par)
     payload = {
         "p": args.p,
         "q": args.q,
@@ -458,13 +448,13 @@ def run_map(cfg: RunConfig, args) -> int:
         "beta": state.beta,
         "beta_mod_2pi": dynamics.wrap_angle(state.beta),
         "energy_phase": dynamics.hamiltonian(state, par),
-        "energy_normal": dynamics.normal_energy(n.x, par, order),
+        "energy_normal": dynamics.normal_energy(n.x, par),
     }
-    if cfg.fmt == "json":
-        _emit(json.dumps(payload, sort_keys=True) + "\n", cfg.output)
+    if args.format == "json":
+        _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
     else:
         lines = [f"{key} = {payload[key]:.17g}" for key in sorted(payload)]
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -495,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument("--order", type=_positive_int, default=None, help="series order for exact checks (default 200)")
+    p.add_argument("--order", type=_positive_int, default=200, help="series order for exact checks (default 200)")
     p.add_argument("--tol", type=_positive_float, default=None, help="override the per-check tolerances")
 
     p = sub.add_parser("coeffs", help="emit exact series coefficients")
@@ -512,17 +502,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", parents=[common], help="sample a libration trajectory")
     p.add_argument("--method", choices=TRAJECTORY_METHODS, required=True)
     orbit = p.add_mutually_exclusive_group(required=True)
-    orbit.add_argument("--h", type=float, help="modulus h in (0, 1)")
-    orbit.add_argument("--energy", type=float, help="libration energy (> 0)")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
+    orbit.add_argument("--h", type=_finite_float, help="modulus h in (0, 1)")
+    orbit.add_argument("--energy", type=_finite_float, help="libration energy (> 0)")
+    p.add_argument("--t0", type=_finite_float, default=0.0)
+    p.add_argument("--t1", type=_finite_float, required=True)
     p.add_argument("--dt", type=_positive_float, required=True)
     p.add_argument("--tol", type=_positive_float, default=None, help="reference-integrator tolerance")
 
     p = sub.add_parser("map", parents=[common], help="query the canonical map at normal coordinates (p, q)")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--order", type=_positive_int, default=None)
+    p.add_argument("--p", type=_finite_float, required=True)
+    p.add_argument("--q", type=_finite_float, required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
@@ -530,27 +519,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    run = {"verify": run_verify, "coeffs": run_coeffs, "trajectory": run_trajectory, "map": run_map}
     try:
-        if args.command == "coeffs":
-            cfg = RunConfig("coeffs", order=args.order, fmt=args.format, output=args.output)
-            physical = (args.I_exact, args.g_exact) if args.physical else None
-            return run_coeffs(cfg, args.series, physical)
-        params = PendulumParams(I=args.I, g=args.g)
-        if args.command == "verify":
-            cfg = RunConfig("verify", order=args.order, tol=args.tol, params=params, output=args.output)
-            return run_verify(cfg, args.suite)
-        if args.command == "trajectory":
-            cfg = RunConfig("trajectory", params=params, fmt="csv", output=args.output)
-            return run_trajectory(cfg, args)
-        if args.command == "map":
-            cfg = RunConfig("map", order=args.order, params=params, fmt=args.format, output=args.output)
-            return run_map(cfg, args)
+        return run[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         parser.exit(2, f"pend-nf: error: {exc}\n")
     except ArithmeticError as exc:
         sys.stderr.write(f"pend-nf: check failed: {exc}\n")
         return 1
-    raise AssertionError("unreachable command")
 
 
 def entry_point():

@@ -40,6 +40,7 @@ __all__ = [
     "series_state_partial_sums",
     "hyperbolic_state",
     "nome_from_action",
+    "action_from_nome",
     "canonical_from_normal",
     "normal_flow",
     "jacobian_det",
@@ -52,8 +53,10 @@ __all__ = [
     "trajectory",
 ]
 
-DEFAULT_ORDER = 48
-DEFAULT_NOME_BOUND = 0.5
+# truncation order of the float evaluations of the nome series a^2(x') and
+# x(x'), and the nome range |x'| <= _NOME_BOUND the action is inverted on
+_ORDER = 48
+_NOME_BOUND = 0.5
 
 _TERM_RTOL = 1e-15
 _TAIL_EPS = 1e-16
@@ -162,16 +165,20 @@ def energy_from_nome(x_prime: float, par: PendulumParams) -> float:
     """Libration energy from the nome: 32 I g^2 x' prod((1+x'^2n)/(1-x'^(2n-1)))^8."""
     if not 0.0 <= x_prime < 1.0:
         raise ValueError(f"nome must lie in [0, 1), got {x_prime}")
+    return par.action_scale * par.g * x_prime * _energy_product(x_prime, -1.0)
+
+
+def _energy_product(xs: float, sign: float) -> float:
+    """prod_n ((1 + xs^(2n)) / (1 + sign xs^(2n-1)))^8 for 0 <= xs < 1: the
+    libration energy product with sign -1, the oscillation one with +1."""
     prod = 1.0
-    odd = x_prime                        # x'^(2n-1)
+    odd = xs                             # xs^(2n-1)
     for _ in range(1, _MAX_TERMS):
-        num = 1.0 + odd * x_prime        # 1 + x'^(2n)
-        den = 1.0 - odd                  # 1 - x'^(2n-1)
-        prod *= (num / den) ** 8
-        odd *= x_prime * x_prime
+        prod *= ((1.0 + odd * xs) / (1.0 + sign * odd)) ** 8
+        odd *= xs * xs
         if odd < _TAIL_EPS:
             break
-    return par.action_scale * par.g * x_prime * prod
+    return prod
 
 
 def closed_form_state(t: float, mod: Modulus, par: PendulumParams) -> PhaseState:
@@ -204,21 +211,7 @@ def series_state(flow: FlowFactors, x_prime: float, par: PendulumParams) -> Phas
         raise ValueError(f"series representation needs 0 <= x' < 1, got {x_prime}")
     g0 = elliptic.g0_from_nome(x_prime, par.g)
     root = math.sqrt(x_prime)
-    a = flow.gamma * root
-    b = flow.delta * root
-    s_sum = 0.0
-    r_sum = 0.0
-    xm = 1.0
-    for _ in range(_MAX_TERMS):
-        za = xm * a
-        zb = xm * b
-        s_sum += math.atan(za) - math.atan(zb)
-        r_sum += za / (1.0 + za * za) + zb / (1.0 + zb * zb)
-        xm *= x_prime
-        if xm * (a + b) < _TERM_RTOL * (1.0 + abs(s_sum) + abs(r_sum)):
-            break
-    else:
-        raise RuntimeError("nome series did not converge within the term cap")
+    s_sum, r_sum = _arctan_sums(flow.delta * root, flow.gamma * root, x_prime)
     return PhaseState(B=4.0 * par.I * g0 * r_sum, beta=4.0 * s_sum)
 
 
@@ -259,6 +252,16 @@ def hyperbolic_state(coords: ScaledCoords, par: PendulumParams) -> PhaseState:
     if not abs(x) < 1.0:
         raise ValueError(f"the hyperbolic sums require |p'q'| < 1, got {x}")
     g0 = elliptic.g0_from_nome(x, par.g)
+    s_sum, r_sum = _arctan_sums(p, q, x)
+    return PhaseState(B=4.0 * par.I * g0 * r_sum, beta=4.0 * s_sum)
+
+
+def _arctan_sums(p: float, q: float, x: float) -> tuple[float, float]:
+    """The angle and momentum sums of the hyperbolic chart,
+    sum_m [atan(x^m q) - atan(x^m p)] and sum_m [z/(1+z^2)] over z = x^m p
+    and z = x^m q, for the nome x = p q.  The nome comes as its own argument
+    so that series_state sums in x' itself, not in the rounded product.
+    """
     s_sum = 0.0
     r_sum = 0.0
     xm = 1.0
@@ -269,23 +272,17 @@ def hyperbolic_state(coords: ScaledCoords, par: PendulumParams) -> PhaseState:
         r_sum += zp / (1.0 + zp * zp) + zq / (1.0 + zq * zq)
         xm *= x
         if abs(xm) * (abs(p) + abs(q)) < _TERM_RTOL * (1.0 + abs(s_sum) + abs(r_sum)):
-            break
-    else:
-        raise RuntimeError("hyperbolic sums did not converge within the term cap")
-    return PhaseState(B=4.0 * par.I * g0 * r_sum, beta=4.0 * s_sum)
+            return s_sum, r_sum
+    raise RuntimeError("nome series did not converge within the term cap")
 
 
-def nome_from_action(
-    x: float,
-    par: PendulumParams,
-    order: int = DEFAULT_ORDER,
-    nome_bound: float = DEFAULT_NOME_BOUND,
-) -> float:
-    """Invert the map x = x' a^2(x') for the nome, by safeguarded Newton on
-    the truncated series (absolute tolerance 1e-14 on x').
+def nome_from_action(x: float, par: PendulumParams) -> float:
+    """Invert the map x = x' a^2(x') for the nome on |x'| <= 0.5, by
+    safeguarded Newton on the truncated series (absolute tolerance 1e-14 on
+    x').
     """
     target = x / par.action_scale
-    a2 = normal_form.rescale_sq_series(order)
+    a2 = normal_form.rescale_sq_series(_ORDER)
     coeffs = [float(c) for c in a2.coeffs]
 
     def f_and_slope(y: float) -> tuple[float, float]:
@@ -299,20 +296,20 @@ def nome_from_action(
     if target == 0.0:
         return 0.0
     # bracket the root: the map is increasing where the phase-area factor
-    # stays positive, which covers the default bound
+    # stays positive, which covers the nome bound
     if target > 0.0:
-        lo, hi = 0.0, min(target, nome_bound)
+        lo, hi = 0.0, min(target, _NOME_BOUND)
         if f_and_slope(hi)[0] < 0.0:
-            raise ValueError(f"action {x} is outside the invertible range (|x'| <= {nome_bound})")
+            raise ValueError(f"action {x} is outside the invertible range (|x'| <= {_NOME_BOUND})")
     else:
-        lo = max(target, -nome_bound)
+        lo = max(target, -_NOME_BOUND)
         for _ in range(64):
             if f_and_slope(lo)[0] <= 0.0:
                 break
-            lo = max(lo * 1.5, -nome_bound)
-            if lo == -nome_bound and f_and_slope(lo)[0] > 0.0:
+            lo = max(lo * 1.5, -_NOME_BOUND)
+            if lo == -_NOME_BOUND and f_and_slope(lo)[0] > 0.0:
                 raise ValueError(
-                    f"action {x} is outside the invertible range (|x'| <= {nome_bound})"
+                    f"action {x} is outside the invertible range (|x'| <= {_NOME_BOUND})"
                 )
         hi = 0.0
     y = min(max(target, lo), hi)
@@ -332,51 +329,47 @@ def nome_from_action(
     raise RuntimeError("nome inversion did not converge")
 
 
-def _rescale_factor(x_prime: float, par: PendulumParams, order: int) -> float:
-    a2 = par.action_scale * normal_form.rescale_sq_series(order)(x_prime)
+def action_from_nome(x_prime: float, par: PendulumParams) -> float:
+    """The action x = x' a^2(x') of the nome x', from the truncated series."""
+    return par.action_scale * normal_form.x_of_nome_series(_ORDER)(x_prime)
+
+
+def _rescale_factor(x_prime: float, par: PendulumParams) -> float:
+    a2 = par.action_scale * normal_form.rescale_sq_series(_ORDER)(x_prime)
     if a2 <= 0.0:
         raise ArithmeticError(f"squared rescale became nonpositive at x' = {x_prime}")
     return math.sqrt(a2)
 
 
-def canonical_from_normal(
-    n: NormalCoords, par: PendulumParams, order: int = DEFAULT_ORDER
-) -> PhaseState:
+def canonical_from_normal(n: NormalCoords, par: PendulumParams) -> PhaseState:
     """Phase state (B, beta) of normal coordinates (p, q): solve the nome
     from x = p*q, divide out the rescale a(x'), and sum the hyperbolic
     series.  The map has unit Jacobian determinant by construction.
     """
-    x_prime = nome_from_action(n.x, par, order)
-    a = _rescale_factor(x_prime, par, order)
+    x_prime = nome_from_action(n.x, par)
+    a = _rescale_factor(x_prime, par)
     return hyperbolic_state(ScaledCoords(n.p / a, n.q / a), par)
 
 
-def normal_flow(
-    n: NormalCoords, t: float, par: PendulumParams, order: int = DEFAULT_ORDER
-) -> NormalCoords:
+def normal_flow(n: NormalCoords, t: float, par: PendulumParams) -> NormalCoords:
     """Time-t flow in normal coordinates: q expands and p contracts at the
     energy-dependent rate g0(x'); the product p*q is invariant.
     """
-    x_prime = nome_from_action(n.x, par, order)
+    x_prime = nome_from_action(n.x, par)
     g0 = elliptic.g0_from_nome(x_prime, par.g)
     e = math.exp(g0 * t)
     return NormalCoords(p=n.p / e, q=n.q * e)
 
 
-def jacobian_det(
-    n: NormalCoords,
-    par: PendulumParams,
-    step: float | None = None,
-    order: int = DEFAULT_ORDER,
-) -> float:
+def jacobian_det(n: NormalCoords, par: PendulumParams) -> float:
     """Central-difference Jacobian determinant d(B, beta)/d(p, q) of the
-    canonical map at (p, q); the construction forces the value 1.
+    canonical map at (p, q), with step 1e-5 sqrt(32 I g); the construction
+    forces the value 1.
     """
-    if step is None:
-        step = 1e-5 * math.sqrt(par.action_scale)
+    step = 1e-5 * math.sqrt(par.action_scale)
 
     def at(p: float, q: float) -> PhaseState:
-        return canonical_from_normal(NormalCoords(p, q), par, order)
+        return canonical_from_normal(NormalCoords(p, q), par)
 
     dB_dp = (at(n.p + step, n.q).B - at(n.p - step, n.q).B) / (2.0 * step)
     dB_dq = (at(n.p, n.q + step).B - at(n.p, n.q - step).B) / (2.0 * step)
@@ -385,7 +378,7 @@ def jacobian_det(
     return dB_dp * db_dq - dB_dq * db_dp
 
 
-def normal_energy(x: float, par: PendulumParams, order: int = DEFAULT_ORDER) -> float:
+def normal_energy(x: float, par: PendulumParams) -> float:
     """The normal-form energy at action x = p*q, evaluated through its
     definition: solve the nome from x, then take the product-formula energy.
 
@@ -394,37 +387,22 @@ def normal_energy(x: float, par: PendulumParams, order: int = DEFAULT_ORDER) -> 
     phase-area factor on the negative axis; the composed route works on the
     whole invertible domain.
     """
-    x_prime = nome_from_action(x, par, order)
+    x_prime = nome_from_action(x, par)
     if x_prime >= 0.0:
         return energy_from_nome(x_prime, par)
     # oscillation side: same product with alternating signs
     xs = -x_prime
-    prod = 1.0
-    odd = xs
-    for _ in range(1, _MAX_TERMS):
-        prod *= ((1.0 + odd * xs) / (1.0 + odd)) ** 8
-        odd *= xs * xs
-        if odd < _TAIL_EPS:
-            break
-    return -par.action_scale * par.g * xs * prod
+    return -par.action_scale * par.g * xs * _energy_product(xs, 1.0)
 
 
-def normal_energy_slope(
-    x_prime: float,
-    par: PendulumParams,
-    order: int = DEFAULT_ORDER,
-    step: float | None = None,
-) -> tuple[float, float]:
-    """Central-difference slope of the normal-form energy at x = x' a^2(x'),
-    paired with the rate g0(x') it must equal (canonical conjugacy).
-    Returns (slope, g0).
+def normal_energy_slope(x_prime: float, par: PendulumParams) -> tuple[float, float]:
+    """Central-difference slope, with step 1e-5 * 32 I g, of the normal-form
+    energy at x = x' a^2(x'), paired with the rate g0(x') it must equal
+    (canonical conjugacy).  Returns (slope, g0).
     """
-    if step is None:
-        step = 1e-5 * par.action_scale
-    x = par.action_scale * normal_form.x_of_nome_series(order)(x_prime)
-    slope = (
-        normal_energy(x + step, par, order) - normal_energy(x - step, par, order)
-    ) / (2.0 * step)
+    step = 1e-5 * par.action_scale
+    x = action_from_nome(x_prime, par)
+    slope = (normal_energy(x + step, par) - normal_energy(x - step, par)) / (2.0 * step)
     return slope, elliptic.g0_from_nome(x_prime, par.g)
 
 
@@ -541,25 +519,7 @@ def rk_oracle(
     at the unstable equilibrium: the potential -I g^2 (1 - cos beta) falls
     away from beta = 0, so the momentum grows as the bob drops.
     """
-    if not 1e-13 <= tol <= 1e-6:
-        raise ValueError(f"tolerance must lie in [1e-13, 1e-6], got {tol}")
-    if t == 0.0:
-        return state0
-
-    def rhs(_t, y):
-        return [y[1] / par.I, par.I * par.g**2 * math.sin(y[0])]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t),
-        [state0.beta, state0.B],
-        method="DOP853",
-        rtol=tol,
-        atol=tol * max(1.0, par.I * par.g),
-    )
-    if not sol.success:
-        raise RuntimeError(f"reference integration failed: {sol.message}")
-    return PhaseState(B=sol.y[1, -1], beta=sol.y[0, -1])
+    return _rk_solve(state0, par, t, tol)[-1]
 
 
 def _time_grid(t0: float, t1: float, dt: float) -> list[float]:
@@ -579,7 +539,6 @@ def trajectory(
     t1: float,
     dt: float,
     tol: float = 1e-10,
-    order: int = DEFAULT_ORDER,
 ) -> list[TrajectoryRecord]:
     """Sample the libration that crosses beta = 0 at t = 0 with B(0) > 0,
     on a uniform time grid, in the requested representation.
@@ -593,12 +552,9 @@ def trajectory(
         states = [series_state(FlowFactors.at_time(g0, t), x_prime, par) for t in times]
     elif method == "normal":
         x_prime = elliptic.nome_from_h(mod)
-        a = _rescale_factor(x_prime, par, order)
+        a = _rescale_factor(x_prime, par)
         start = NormalCoords(a * math.sqrt(x_prime), a * math.sqrt(x_prime))
-        states = [
-            canonical_from_normal(normal_flow(start, t, par, order), par, order)
-            for t in times
-        ]
+        states = [canonical_from_normal(normal_flow(start, t, par), par) for t in times]
     elif method == "rk":
         start = PhaseState(B=2.0 * par.I * par.g / mod.k, beta=0.0)
         states = _rk_batch(start, par, times, tol)
@@ -615,25 +571,38 @@ def _rk_batch(
 ) -> list[PhaseState]:
     """Integrate from the t = 0 initial state and sample at the given
     (nonnegative, increasing) times."""
+    return _rk_solve(state0, par, times[-1], tol, times)
+
+
+def _rk_solve(
+    state0: PhaseState,
+    par: PendulumParams,
+    t_end: float,
+    tol: float,
+    t_eval: list[float] | None = None,
+) -> list[PhaseState]:
+    """DOP853 on dbeta/dt = B/I, dB/dt = I g^2 sin(beta) from t = 0 to
+    t_end: the states at the times t_eval, or at t_end alone without them."""
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError(f"tolerance must lie in [1e-13, 1e-6], got {tol}")
-    if times[0] < 0.0:
+    if t_eval is not None and t_eval[0] < 0.0:
         raise ValueError("reference trajectories start at t = 0; need t0 >= 0")
-    if times[-1] == 0.0:
-        return [state0 for _ in times]
+    if t_end == 0.0:
+        return [state0] * (1 if t_eval is None else len(t_eval))
 
     def rhs(_t, y):
         return [y[1] / par.I, par.I * par.g**2 * math.sin(y[0])]
 
     sol = solve_ivp(
         rhs,
-        (0.0, times[-1]),
+        (0.0, t_end),
         [state0.beta, state0.B],
         method="DOP853",
         rtol=tol,
         atol=tol * max(1.0, par.I * par.g),
-        t_eval=times,
+        t_eval=t_eval,
     )
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")
-    return [PhaseState(B=sol.y[1, i], beta=sol.y[0, i]) for i in range(len(times))]
+    y = sol.y if t_eval is not None else sol.y[:, -1:]
+    return [PhaseState(B=B, beta=beta) for beta, B in y.T]

@@ -15,6 +15,7 @@ at most ~10 iterations.  All functions are pure.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 __all__ = [
@@ -211,29 +212,30 @@ def lambda_from_h(mod: Modulus) -> float:
     return 0.5 * (1.0 - r) / (1.0 + r)
 
 
+def _theta_sum(q: float, exponent: Callable[[int], int], start: float) -> float:
+    """A theta-function sum in the nome q, from its first term on: with
+    start 0.0 the theta_2 shape sum_{n>=0} q^exponent(n), with start 1.0 the
+    theta_3 shape 1 + 2 sum_{n>=1} q^exponent(n).  Stops after the first
+    term below _PRODUCT_EPS, or past n = 64.
+    """
+    total = start
+    n = 0 if start == 0.0 else 1
+    while True:
+        term = (1.0 + start) * q ** exponent(n)
+        total += term
+        n += 1
+        if term < _PRODUCT_EPS or n > 64:
+            return total
+
+
 def lambda_from_nome(q: float) -> float:
     """lambda from the nome by the theta quotient
     sum q^((2n+1)^2) / (1 + 2 sum q^(4n^2)); exact companion to lambda_from_h.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"nome must lie in [0, 1), got {q}")
-    num = 0.0
-    n = 0
-    while True:
-        term = q ** ((2 * n + 1) ** 2)
-        num += term
-        n += 1
-        if term < _PRODUCT_EPS or n > 64:
-            break
-    den = 1.0
-    n = 1
-    while True:
-        term = 2.0 * q ** (4 * n * n)
-        den += term
-        n += 1
-        if term < _PRODUCT_EPS or n > 64:
-            break
-    return num / den
+    num = _theta_sum(q, lambda n: (2 * n + 1) ** 2, 0.0)
+    return num / _theta_sum(q, lambda n: 4 * n * n, 1.0)
 
 
 def h_from_nome(q: float) -> float:
@@ -242,24 +244,8 @@ def h_from_nome(q: float) -> float:
         raise ValueError(f"nome must lie in [0, 1), got {q}")
     if q == 0.0:
         return 0.0
-    s2 = 0.0
-    n = 0
-    while True:
-        term = q ** (n * (n + 1))
-        s2 += term
-        n += 1
-        if term < _PRODUCT_EPS or n > 64:
-            break
-    s3 = 1.0
-    n = 1
-    while True:
-        term = 2.0 * q ** (n * n)
-        s3 += term
-        n += 1
-        if term < _PRODUCT_EPS or n > 64:
-            break
-    th2 = 2.0 * q**0.25 * s2
-    return (th2 / s3) ** 2
+    th2 = 2.0 * q**0.25 * _theta_sum(q, lambda n: n * (n + 1), 0.0)
+    return (th2 / _theta_sum(q, lambda n: n * n, 1.0)) ** 2
 
 
 def g0_eval(mod: Modulus, g: float) -> float:

@@ -6,9 +6,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from pendnf.cli import main
+from pendnf.cli import _linspace, main
 
 
 def run_cli(argv):
@@ -46,6 +47,32 @@ class TestExitCodes:
         # an absurd tolerance makes a real measurement fail
         assert run_cli(["verify", "--suite", "legendre", "--tol", "1e-30"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["map", "--p", "nan", "--q", "1"], "--p"),
+        (["map", "--p", "0.3", "--q=-inf"], "--q"),
+        (["trajectory", "--method", "series", "--h", "0.3", "--t1", "inf", "--dt", "0.5"], "--t1"),
+        (["trajectory", "--method", "closed", "--h", "0.3", "--t0", "nan", "--t1", "1",
+          "--dt", "0.5"], "--t0"),
+        (["trajectory", "--method", "closed", "--h", "nan", "--t1", "1", "--dt", "0.5"], "--h"),
+        (["trajectory", "--method", "rk", "--energy", "inf", "--t1", "1", "--dt", "0.5"],
+         "--energy"),
+        (["trajectory", "--method", "closed", "--h", "0.3", "--t1", "1", "--dt", "inf"], "--dt"),
+        (["map", "--p", "0.3", "--q", "0.2", "--I", "inf"], "--I"),
+        (["map", "--p", "0.3", "--q", "0.2", "--g", "inf"], "--g"),
+        (["verify", "--suite", "legendre", "--tol", "inf"], "--tol"),
+    ])
+    def test_non_finite_float_is_two(self, capsys, argv, flag):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be finite" in err
+        assert "Traceback" not in err
+
+    def test_bad_order_cap_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("PEND_NF_MAX_ORDER", "abc")
+        assert run_cli(["coeffs", "--series", "g0", "--order", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "pend-nf: error: PEND_NF_MAX_ORDER" in err and "'abc'" in err
 
     def test_tolerance_override_pass(self, capsys):
         assert run_cli(["verify", "--suite", "legendre", "--tol", "1e-12"]) == 0
@@ -161,6 +188,26 @@ class TestMap:
 
     def test_out_of_range_is_two(self):
         assert run_cli(["map", "--p", "100.0", "--q", "100.0"]) == 2
+
+    def test_order_cap_does_not_reach_the_map(self, capsys, monkeypatch):
+        argv = ["map", "--p", "0.3", "--q", "0.2", "--format", "text"]
+        assert run_cli(argv) == 0
+        uncapped = capsys.readouterr().out
+        monkeypatch.setenv("PEND_NF_MAX_ORDER", "5")
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == uncapped
+
+
+# every grid the verify suites sample, at the default and two other rates g
+SUITE_GRIDS = [
+    (-3.0, 3.0, 13), (-2.0, 2.0, 9), (0.01, 0.99, 100), (0.05, 0.9, 18),
+    (0.05, 0.95, 50), (0.5, 2.0, 7),
+] + [(0.0, span / g, num) for g in (1.0, 0.7, 3.0) for span, num in ((10.0, 101), (5.0, 41))]
+
+
+@pytest.mark.parametrize("start, stop, num", SUITE_GRIDS)
+def test_linspace_matches_numpy_exactly(start, stop, num):
+    assert _linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
 
 
 def test_console_script_installed():
