@@ -14,11 +14,9 @@ Layers:
 """
 
 from .elliptic import (
-    EllipticEval,
     Modulus,
     complete_e,
     complete_k,
-    evaluate_moduli,
     g0_eval,
     g0_from_nome,
     h_from_nome,
@@ -31,9 +29,7 @@ from .elliptic import (
 from .series import RationalSeries, product_series
 from .normal_form import (
     IdentityReport,
-    NormalFormBundle,
     StableFormBundle,
-    bundle,
     stable_bundle,
     rescaling_identity_check,
     theta_logderiv_check,

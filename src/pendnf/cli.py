@@ -209,29 +209,22 @@ def _suite_legendre(order: int, tol: float | None, par: PendulumParams) -> list[
 
 
 def _suite_identity51(order: int, tol: float | None, par: PendulumParams) -> list[CheckResult]:
-    report = normal_form.rescaling_identity_check(order)
-    measured = -1.0 if report.first_mismatch is None else float(report.first_mismatch)
-    return [
-        CheckResult(
-            "rescaling_identity",
-            report.passed,
-            measured,
-            0.0,
-            f"exact to order {order}; measured is the first mismatching power (-1 = none)",
-        )
-    ]
+    return _exact_identity("rescaling_identity", normal_form.rescaling_identity_check(order))
 
 
 def _suite_theta(order: int, tol: float | None, par: PendulumParams) -> list[CheckResult]:
-    report = normal_form.theta_logderiv_check(order)
+    return _exact_identity("theta_logderiv", normal_form.theta_logderiv_check(order))
+
+
+def _exact_identity(name: str, report: normal_form.IdentityReport) -> list[CheckResult]:
     measured = -1.0 if report.first_mismatch is None else float(report.first_mismatch)
     return [
         CheckResult(
-            "theta_logderiv",
+            name,
             report.passed,
             measured,
             0.0,
-            f"exact to order {order}; measured is the first mismatching power (-1 = none)",
+            f"exact to order {report.order}; measured is the first mismatching power (-1 = none)",
         )
     ]
 
@@ -524,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
         return run[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         parser.exit(2, f"pend-nf: error: {exc}\n")
-    except ArithmeticError as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         sys.stderr.write(f"pend-nf: check failed: {exc}\n")
         return 1
 

@@ -16,6 +16,7 @@ Hamilton's equations demand.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,8 +54,8 @@ __all__ = [
     "trajectory",
 ]
 
-# truncation order of the float evaluations of the nome series a^2(x') and
-# x(x'), and the nome range |x'| <= _NOME_BOUND the action is inverted on
+# truncation order of the float a^2(x') series, and the nome range
+# |x'| <= _NOME_BOUND the action is inverted on
 _ORDER = 48
 _NOME_BOUND = 0.5
 
@@ -276,22 +277,35 @@ def _arctan_sums(p: float, q: float, x: float) -> tuple[float, float]:
     raise RuntimeError("nome series did not converge within the term cap")
 
 
+@functools.cache
+def _rescale_sq_coeffs() -> tuple[float, ...]:
+    """The normalized a^2(x') series truncated at _ORDER, in floats."""
+    return tuple(float(c) for c in normal_form.rescale_sq_series(_ORDER).coeffs)
+
+
+def _rescale_sq(y: float) -> tuple[float, float]:
+    """The normalized a^2(y) of the truncated series and the slope of
+    y a^2(y), by one Horner pass."""
+    coeffs = _rescale_sq_coeffs()
+    acc = 0.0
+    slope = 0.0
+    for n in range(len(coeffs) - 1, -1, -1):
+        slope = slope * y + (n + 1) * coeffs[n]
+        acc = acc * y + coeffs[n]
+    return acc, slope
+
+
 def nome_from_action(x: float, par: PendulumParams) -> float:
     """Invert the map x = x' a^2(x') for the nome on |x'| <= 0.5, by
-    safeguarded Newton on the truncated series (absolute tolerance 1e-14 on
-    x').
+    safeguarded Newton (absolute tolerance 1e-14 on x').  The polynomial
+    inverted is exactly the one action_from_nome evaluates, x' times the
+    truncated a^2 series.
     """
     target = x / par.action_scale
-    a2 = normal_form.rescale_sq_series(_ORDER)
-    coeffs = [float(c) for c in a2.coeffs]
 
     def f_and_slope(y: float) -> tuple[float, float]:
-        acc = 0.0
-        slope = 0.0
-        for n in range(len(coeffs) - 1, -1, -1):
-            slope = slope * y + (n + 1) * coeffs[n]
-            acc = acc * y + coeffs[n]
-        return y * acc - target, slope
+        a2, slope = _rescale_sq(y)
+        return y * a2 - target, slope
 
     if target == 0.0:
         return 0.0
@@ -331,11 +345,11 @@ def nome_from_action(x: float, par: PendulumParams) -> float:
 
 def action_from_nome(x_prime: float, par: PendulumParams) -> float:
     """The action x = x' a^2(x') of the nome x', from the truncated series."""
-    return par.action_scale * normal_form.x_of_nome_series(_ORDER)(x_prime)
+    return par.action_scale * (x_prime * _rescale_sq(x_prime)[0])
 
 
 def _rescale_factor(x_prime: float, par: PendulumParams) -> float:
-    a2 = par.action_scale * normal_form.rescale_sq_series(_ORDER)(x_prime)
+    a2 = par.action_scale * _rescale_sq(x_prime)[0]
     if a2 <= 0.0:
         raise ArithmeticError(f"squared rescale became nonpositive at x' = {x_prime}")
     return math.sqrt(a2)

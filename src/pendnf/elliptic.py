@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "Modulus",
-    "EllipticEval",
     "complete_k",
     "complete_e",
     "jacobi_elliptic",
@@ -31,10 +30,9 @@ __all__ = [
     "g0_eval",
     "g0_from_nome",
     "legendre_defect",
-    "evaluate_moduli",
 ]
 
-# Stop the AGM once |a - b| reaches a few ulp; the returned midpoint is then
+# Stop the AGM once |a - b| reaches a few ulp; the midpoint (a + b)/2 is then
 # within (a-b)^2/(8a) ~ 1e-31 of the true limit.  A tighter threshold would
 # sit below the rounding floor and never be reached.
 _AGM_RTOL = 1e-15
@@ -98,23 +96,22 @@ class Modulus:
         return cls.from_k(g * math.sqrt(2.0 * inertia / energy))
 
 
-@dataclass(frozen=True)
-class EllipticEval:
-    """Bundle of the elliptic quantities attached to one modulus."""
-
-    K_h: float
-    K_hprime: float
-    E_h: float
-    nome: float
-    lam: float
-
-
-def _agm(a: float, b: float) -> float:
+def _agm(m: float) -> tuple[float, float, float]:
+    """The AGM of 1 and sqrt(1 - m^2), stopped once |a - b| reaches a few
+    ulp: the last (a, b) and the sum sum_n 2^(n-1) c_n^2 over the
+    half-differences, c_0 = m.
+    """
+    a, b = 1.0, math.sqrt((1.0 - m) * (1.0 + m))
+    total = 0.5 * m * m
+    pow2 = 0.5
     for _ in range(_AGM_MAX_ITER):
         if abs(a - b) <= _AGM_RTOL * a:
             break
+        c = 0.5 * (a - b)
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
+        pow2 *= 2.0
+        total += pow2 * c * c
+    return a, b, total
 
 
 def complete_k(m: float) -> float:
@@ -124,7 +121,8 @@ def complete_k(m: float) -> float:
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {m}")
-    return math.pi / (2.0 * _agm(1.0, math.sqrt((1.0 - m) * (1.0 + m))))
+    a, b, _ = _agm(m)
+    return math.pi / (2.0 * (0.5 * (a + b)))
 
 
 def complete_e(m: float) -> float:
@@ -137,16 +135,7 @@ def complete_e(m: float) -> float:
         raise ValueError(f"modulus must lie in [0, 1], got {m}")
     if m == 1.0:
         return 1.0
-    a, b = 1.0, math.sqrt((1.0 - m) * (1.0 + m))
-    total = 0.5 * m * m
-    pow2 = 0.5
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_RTOL * a:
-            break
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        pow2 *= 2.0
-        total += pow2 * c * c
+    a, _, total = _agm(m)
     return math.pi / (2.0 * a) * (1.0 - total)
 
 
@@ -290,14 +279,3 @@ def legendre_defect(mod: Modulus) -> float:
     eh = complete_e(mod.h)
     ehp = complete_e(mod.h_prime)
     return eh * khp + ehp * kh - kh * khp - 0.5 * math.pi
-
-
-def evaluate_moduli(mod: Modulus) -> EllipticEval:
-    """All per-modulus elliptic quantities in one bundle."""
-    return EllipticEval(
-        K_h=complete_k(mod.h),
-        K_hprime=complete_k(mod.h_prime),
-        E_h=complete_e(mod.h),
-        nome=nome_from_h(mod),
-        lam=lambda_from_h(mod),
-    )

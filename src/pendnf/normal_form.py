@@ -26,7 +26,6 @@ from functools import lru_cache
 from .series import RationalSeries, product_series
 
 __all__ = [
-    "NormalFormBundle",
     "StableFormBundle",
     "IdentityReport",
     "g0_series",
@@ -35,7 +34,6 @@ __all__ = [
     "rescale_sq_series",
     "x_of_nome_series",
     "normal_energy_series",
-    "bundle",
     "stable_bundle",
     "rescaling_identity_check",
     "theta_logderiv_check",
@@ -50,18 +48,6 @@ _STABLE_ENERGY_FACTORS = ((1, 2, 0, 1), (1, 2, -1, -1))
 
 NOME_VAR = "x'"
 STABLE_NOME_VAR = "xs'"
-
-
-@dataclass(frozen=True)
-class NormalFormBundle:
-    """All hyperbolic-chart series at one truncation order (normalized)."""
-
-    g0: RationalSeries
-    energy: RationalSeries
-    jacobian: RationalSeries
-    rescale_sq: RationalSeries
-    x_of_nome: RationalSeries
-    normal_energy: RationalSeries
 
 
 @dataclass(frozen=True)
@@ -134,17 +120,6 @@ def normal_energy_series(order: int) -> RationalSeries:
         raise ValueError("need order >= 2 to see past the linear term")
     inverse = x_of_nome_series(order).revert(var="x")
     return energy_series(order).compose(inverse)
-
-
-def bundle(order: int) -> NormalFormBundle:
-    return NormalFormBundle(
-        g0=g0_series(order),
-        energy=energy_series(order),
-        jacobian=jacobian_series(order),
-        rescale_sq=rescale_sq_series(order),
-        x_of_nome=x_of_nome_series(order),
-        normal_energy=normal_energy_series(order),
-    )
 
 
 def _alternate(s: RationalSeries, var: str) -> RationalSeries:

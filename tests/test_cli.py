@@ -189,6 +189,16 @@ class TestMap:
     def test_out_of_range_is_two(self):
         assert run_cli(["map", "--p", "100.0", "--q", "100.0"]) == 2
 
+    def test_nome_nonconvergence_is_one_without_traceback(self):
+        # Newton stalls on this negative action, where the map saturates
+        result = subprocess.run(
+            [sys.executable, "-m", "pendnf.cli", "map", "--p", "1", "--q", "-2.5445688846475436"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr == "pend-nf: check failed: nome inversion did not converge\n"
+        assert "Traceback" not in result.stderr
+
     def test_order_cap_does_not_reach_the_map(self, capsys, monkeypatch):
         argv = ["map", "--p", "0.3", "--q", "0.2", "--format", "text"]
         assert run_cli(argv) == 0

@@ -196,6 +196,13 @@ class TestCanonicalMap:
             back = dyn.nome_from_action(x, par_phys)
             assert back == pytest.approx(x_prime, abs=1e-12)
 
+    def test_action_round_trip(self, par, par_phys):
+        # nome_from_action inverts exactly the polynomial action_from_nome evaluates
+        for params in (par, par_phys):
+            for x_prime in np.linspace(0.0, 0.5, 51):
+                x = dyn.action_from_nome(float(x_prime), params)
+                assert dyn.nome_from_action(x, params) == pytest.approx(x_prime, abs=1e-15)
+
     def test_out_of_range_action(self, par):
         # positive actions are reachable up to x(0.5); negative ones saturate
         # near -0.08 * 32*I*g long before the nome bound

@@ -272,12 +272,3 @@ class TestLegendre:
     def test_domain(self):
         with pytest.raises(ValueError):
             el.legendre_defect(Modulus.from_h(0.0))
-
-
-def test_evaluate_moduli_bundle():
-    mod = Modulus.from_h(0.5)
-    ev = el.evaluate_moduli(mod)
-    assert ev.K_h == el.complete_k(0.5)
-    assert ev.nome == el.nome_from_h(mod)
-    assert 0.0 <= ev.nome < 1.0
-    assert 0.0 <= ev.lam <= 0.5

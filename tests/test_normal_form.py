@@ -190,9 +190,3 @@ class TestIntegerCoefficients:
         assert nf.integer_coefficients_start(nf.g0_series(200))
         assert nf.integer_coefficients_start(nf.energy_series(200), start=1)
         assert nf.integer_coefficients_start(nf.jacobian_series(200))
-
-    def test_bundle_consistency(self):
-        b = nf.bundle(16)
-        assert b.g0.order == 16
-        assert b.normal_energy.coeffs[1] == 1
-        assert b.x_of_nome.coeffs[1] == b.rescale_sq.coeffs[0]
