@@ -16,12 +16,18 @@ checks exact.  Physical values are recovered by the scalings
 Stable chart: the rotation rate is the hyperbolic rate at negated nome, the
 squared rescale carries twice the scale (64*I*g), and the stable normal-form
 energy is W with argument x/(64*I*g).
+
+Each series function keeps, for the life of the process, the longest result
+it has computed, and answers a lower order by truncating it: coefficients
+never change with the order (see series.py), so the truncation is exactly
+what a direct computation at that order returns.  A higher order than any
+seen so far is computed afresh and replaces the stored one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .series import RationalSeries, product_series
 
@@ -59,6 +65,18 @@ class StableFormBundle:
     rescale_sq: RationalSeries
     normal_energy: RationalSeries
 
+    @property
+    def order(self) -> int:
+        return self.normal_energy.order
+
+    def truncate(self, order: int) -> "StableFormBundle":
+        return StableFormBundle(
+            g0=self.g0.truncate(order),
+            energy=self.energy.truncate(order),
+            rescale_sq=self.rescale_sq.truncate(order),
+            normal_energy=self.normal_energy.truncate(order),
+        )
+
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -67,57 +85,66 @@ class IdentityReport:
     first_mismatch: int | None = None
 
 
-@lru_cache(maxsize=None)
+def _longest(min_order: int, message: str):
+    """Check the order, then serve it from the longest result stored so far
+    (truncated), or compute it and store it when it is longer."""
+
+    def decorate(fn):
+        longest = None
+
+        @functools.wraps(fn)
+        def stored(order: int):
+            nonlocal longest
+            if order < min_order:
+                raise ValueError(message)
+            if longest is None or order > longest.order:
+                longest = fn(order)
+            return longest.truncate(order)
+
+        return stored
+
+    return decorate
+
+
+@_longest(0, "order must be >= 0")
 def g0_series(order: int) -> RationalSeries:
     """Rate series g0/g = prod((1+x'^n)/(1-x'^n))^2 = 1 + 4x' + 12x'^2 + ..."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
     return product_series(_G0_FACTORS, 2, order, var=NOME_VAR)
 
 
-@lru_cache(maxsize=None)
+@_longest(1, "the energy series starts at first order; need order >= 1")
 def energy_series(order: int) -> RationalSeries:
     """Energy series U/(32 I g^2) = x' prod((1+x'^(2n))/(1-x'^(2n-1)))^8."""
-    if order < 1:
-        raise ValueError("the energy series starts at first order; need order >= 1")
     return product_series(_ENERGY_FACTORS, 8, order - 1, var=NOME_VAR).shift()
 
 
-@lru_cache(maxsize=None)
+@_longest(0, "order must be >= 0")
 def jacobian_series(order: int) -> RationalSeries:
     """Phase-area factor D/(32 I g) = (dU/dx') / g0; constant term 1."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
     return energy_series(order + 1).derivative() / g0_series(order)
 
 
-@lru_cache(maxsize=None)
+@_longest(0, "order must be >= 0")
 def rescale_sq_series(order: int) -> RationalSeries:
     """Squared canonical rescale a^2/(32 I g) = (d g0_series/dx') / 4.
 
     The quarter is the normalization of 8*I*g: the rate derivative at 0 is 4,
     so the constant term is 1, matching the Jacobian at the separatrix.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
     return g0_series(order + 1).derivative() / 4
 
 
-@lru_cache(maxsize=None)
+@_longest(1, "x(x') starts at first order; need order >= 1")
 def x_of_nome_series(order: int) -> RationalSeries:
     """The action of the canonical map, x/(32 I g) = x' * rescale_sq(x')."""
-    if order < 1:
-        raise ValueError("x(x') starts at first order; need order >= 1")
     return rescale_sq_series(order - 1).shift()
 
 
-@lru_cache(maxsize=None)
+@_longest(2, "need order >= 2 to see past the linear term")
 def normal_energy_series(order: int) -> RationalSeries:
     """Energy as a function of the normal action x = p*q (normalized):
     x + 2x^2 - 4x^3 + ...; obtained by reverting x(x') into the energy series.
     """
-    if order < 2:
-        raise ValueError("need order >= 2 to see past the linear term")
     inverse = x_of_nome_series(order).revert(var="x")
     return energy_series(order).compose(inverse)
 
@@ -129,7 +156,7 @@ def _alternate(s: RationalSeries, var: str) -> RationalSeries:
     )
 
 
-@lru_cache(maxsize=None)
+@_longest(2, "need order >= 2 to see past the linear term")
 def stable_bundle(order: int) -> StableFormBundle:
     """Stable-chart series: rotation rate, energy, squared rescale and W.
 
@@ -137,8 +164,6 @@ def stable_bundle(order: int) -> StableFormBundle:
     a_s^2/(64 I g) = rescale_sq(-xs); its doubled scale is why W takes the
     argument x/(64 I g), and W(z) = z (1 - 2z - 4z^2 - 20z^3 - ...).
     """
-    if order < 2:
-        raise ValueError("need order >= 2 to see past the linear term")
     g0s = _alternate(g0_series(order), STABLE_NOME_VAR)
     energy_s = product_series(
         _STABLE_ENERGY_FACTORS, 8, order - 1, var=STABLE_NOME_VAR
@@ -156,8 +181,9 @@ def rescaling_identity_check(order: int) -> IdentityReport:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    lhs = jacobian_series(order)
+    # rhs first: it asks g0 one order higher, so lhs's g0 is a stored truncation
     rhs = x_of_nome_series(order + 1).derivative()
+    lhs = jacobian_series(order)
     for n in range(order + 1):
         if lhs.coeffs[n] != rhs.coeffs[n]:
             return IdentityReport(passed=False, order=order, first_mismatch=n)

@@ -5,8 +5,12 @@ order are unknown, not zero, and every operation returns only the order it
 can certify from its operands.  Re-running any computation at a higher order
 never changes previously computed coefficients.
 
-Coefficients are fractions.Fraction, so identity checks between series are
-exact integer arithmetic, no matter how large the coefficients grow.
+A series stores and exposes its coefficients as fractions.Fraction, so
+identity checks between series are exact, no matter how large the
+coefficients grow.  The kernels behind the products, quotients, powers,
+compositions and reversions compute on Python int lists over one common
+denominator: an operation converts its operands once, runs the kernel on
+integers, and converts the result back once, so no gcd runs inside a loop.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 __all__ = ["RationalSeries", "product_series"]
@@ -28,50 +34,67 @@ def _rat(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def _ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators, den) with coeffs[n] == numerators[n] / den."""
+    den = lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _fracs(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    if den == 1:
+        return tuple(map(Fraction, nums))
+    return tuple(Fraction(n, den) for n in nums)
+
+
 # ---------------------------------------------------------------------------
-# coefficient-list kernels (length = order + 1, index = power)
+# integer coefficient-list kernels (length = order + 1, index = power)
 
-def _mul_lists(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    out = [_ZERO] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order or ai == 0:
-            continue
-        top = min(order - i, len(b) - 1)
-        for j in range(top + 1):
-            if b[j]:
-                out[i + j] += ai * b[j]
+def _mul_lists(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    # one dot product per output coefficient, b read backwards
+    rb = b[::-1]
+    la, lb = len(a), len(b)
+    out = []
+    for m in range(order + 1):
+        lo, hi = max(0, m - lb + 1), min(m, la - 1)
+        out.append(sum(map(mul, a[lo:hi + 1], rb[lb - 1 - m + lo:lb - m + hi])))
     return out
 
 
-def _div_lists(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    if b[0] == 0:
+def _div_lists(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    """Q with a/b = sum_m Q[m] t^m / b[0]^(m+1).
+
+    The quotient recurrence multiplied through by powers of b[0], so it stays
+    in integers whatever b[0] is: Q[m] = b0^m a[m] - sum_j b0^(j-1) b[j] Q[m-j].
+    """
+    b0 = b[0]
+    if b0 == 0:
         raise ZeroDivisionError("division by a series with zero constant term")
-    inv0 = 1 / b[0]
-    out = [_ZERO] * (order + 1)
-    for n in range(order + 1):
-        acc = a[n] if n < len(a) else _ZERO
-        for j in range(1, min(n, len(b) - 1) + 1):
-            if b[j]:
-                acc -= b[j] * out[n - j]
-        out[n] = acc * inv0
-    return out
+    powers = [1]
+    for _ in range(order):
+        powers.append(powers[-1] * b0)
+    scaled = [b[j] * powers[j - 1] for j in range(1, min(len(b), order + 1))]
+    q: list[int] = []
+    for m in range(order + 1):
+        am = a[m] * powers[m] if m < len(a) else 0
+        q.append(am - sum(map(mul, scaled, reversed(q))))
+    return q
 
 
-def _compose_lists(f: Sequence[Fraction], g: Sequence[Fraction], order: int) -> list[Fraction]:
+def _compose_lists(f: Sequence[int], g: Sequence[int], order: int) -> list[int]:
     # Horner over the outer coefficients; g must have zero constant term.
-    out = [_ZERO] * (order + 1)
-    for c in reversed(f):
-        out = _mul_lists(out, g, order)
-        out[0] += c
+    # After f[j] is added, j more factors of g (each of valuation >= 1)
+    # follow, so only the terms through order - j can still reach the result.
+    out = [0]
+    for j in range(len(f) - 1, -1, -1):
+        out = _mul_lists(out, g, order - j)
+        out[0] += f[j]
     return out
 
 
-def _derive_list(a: Sequence[Fraction]) -> list[Fraction]:
-    return [n * a[n] for n in range(1, len(a))]
-
-
-def _pow_list(a: Sequence[Fraction], exponent: int, order: int) -> list[Fraction]:
-    result = [_ONE] + [_ZERO] * order
+def _pow_list(a: Sequence[int], exponent: int, order: int) -> list[int]:
+    result = [1] + [0] * order
     base = list(a)
     e = exponent
     while e:
@@ -163,7 +186,8 @@ class RationalSeries:
         if isinstance(other, RationalSeries):
             self._check_var(other)
             n = min(self.order, other.order)
-            return RationalSeries(tuple(_mul_lists(self.coeffs, other.coeffs, n)), self.var)
+            (a, da), (b, db) = _ints(self.coeffs[: n + 1]), _ints(other.coeffs[: n + 1])
+            return RationalSeries(_fracs(_mul_lists(a, b, n), da * db), self.var)
         c = _rat(other)
         return RationalSeries(tuple(c * v for v in self.coeffs), self.var)
 
@@ -173,7 +197,12 @@ class RationalSeries:
         if isinstance(other, RationalSeries):
             self._check_var(other)
             n = min(self.order, other.order)
-            return RationalSeries(tuple(_div_lists(self.coeffs, other.coeffs, n)), self.var)
+            (a, da), (b, db) = _ints(self.coeffs[: n + 1]), _ints(other.coeffs[: n + 1])
+            q = _div_lists(a, b, n)
+            # (a/da) / (b/db) = (db/da) sum q[m] t^m / b0^(m+1), over the one
+            # denominator da b0^(n+1)
+            nums = [qm * db * b[0] ** (n - m) for m, qm in enumerate(q)]
+            return RationalSeries(_fracs(nums, da * b[0] ** (n + 1)), self.var)
         c = _rat(other)
         if c == 0:
             raise ZeroDivisionError("division of a series by zero")
@@ -182,48 +211,49 @@ class RationalSeries:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series powers must be nonnegative integers")
-        return RationalSeries(tuple(_pow_list(self.coeffs, exponent, self.order)), self.var)
+        a, den = _ints(self.coeffs)
+        return RationalSeries(_fracs(_pow_list(a, exponent, self.order), den**exponent), self.var)
 
     # -- calculus and composition --------------------------------------------
 
     def derivative(self) -> "RationalSeries":
         if self.order < 1:
             raise ValueError("derivative of an order-0 series certifies no coefficients")
-        return RationalSeries(tuple(_derive_list(self.coeffs)), self.var)
+        return RationalSeries(tuple(n * c for n, c in enumerate(self.coeffs) if n), self.var)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """self(inner); inner must have zero constant term."""
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
-        return RationalSeries(
-            tuple(_compose_lists(self.coeffs[: n + 1], inner.coeffs[: n + 1], n)), inner.var
-        )
+        (f, df), (g, dg) = _ints(self.coeffs[: n + 1]), _ints(inner.coeffs[: n + 1])
+        # sum f[j] (g/dg)^j = sum f[j] dg^(n-j) g^j / dg^n
+        f = [fj * dg ** (n - j) for j, fj in enumerate(f)]
+        return RationalSeries(_fracs(_compose_lists(f, g, n), df * dg**n), inner.var)
 
     def revert(self, var: str | None = None) -> "RationalSeries":
         """Compositional inverse g with self(g) = identity, exact.
 
-        Needs zero constant term and nonzero linear coefficient.  Newton
-        iteration with order doubling; each step certifies twice the order of
-        the previous one.
+        Needs zero constant term and nonzero linear coefficient.  Lagrange
+        inversion: g_k = [t^(k-1)] (t/self(t))^k / k, read off one loop of
+        powers of the reciprocal of self(t)/t.
         """
         if self.coeffs[0] != 0:
             raise ValueError("reversion needs a series with zero constant term")
         if self.order < 1 or self.coeffs[1] == 0:
             raise ValueError("reversion needs a nonzero linear coefficient")
         n = self.order
-        f = list(self.coeffs)
-        fp = _derive_list(f)
-        g = [_ZERO, 1 / f[1]]
-        m = 1
-        while m < n:
-            m = min(2 * m, n)
-            gm = g + [_ZERO] * (m + 1 - len(g))
-            resid = _compose_lists(f[: m + 1], gm, m)
-            resid[1] -= _ONE
-            slope = _compose_lists(fp[: m + 1], gm, m)
-            corr = _div_lists(resid, slope, m)
-            g = [gi - ci for gi, ci in zip(gm, corr)]
+        f, den = _ints(self.coeffs)
+        # t/self = den / p with p = f/t; 1/p = sum q[m] t^m / p0^(m+1), so
+        # [t^m] (1/p)^k = [t^m] q^k / p0^(m+k) and g_k needs it at m = k-1
+        p0 = f[1]
+        q = _div_lists([1], f[1:], n - 1)
+        g = [_ZERO]
+        power = q
+        for k in range(1, n + 1):
+            g.append(Fraction(den**k * power[k - 1], k * p0 ** (2 * k - 1)))
+            if k < n:
+                power = _mul_lists(power, q, n - 1)
         return RationalSeries(tuple(g), var if var is not None else self.var)
 
     # -- evaluation and serialization ------------------------------------------
@@ -290,7 +320,7 @@ def product_series(
         raise ValueError("order must be >= 0")
     if not isinstance(power, int) or power < 0:
         raise ValueError("power must be a nonnegative integer")
-    acc = [_ONE] + [_ZERO] * order
+    acc = [1] + [0] * order
     for sign, step, offset, exponent in factors:
         if sign not in (1, -1) or exponent not in (1, -1) or step < 1:
             raise ValueError(f"invalid factor descriptor {(sign, step, offset, exponent)}")
@@ -313,4 +343,4 @@ def product_series(
             n += 1
     if power != 1:
         acc = _pow_list(acc, power, order)
-    return RationalSeries(tuple(acc), var)
+    return RationalSeries(_fracs(acc, 1), var)

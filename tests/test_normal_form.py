@@ -2,8 +2,13 @@
 through the elliptic kernel, so the exact-arithmetic route and the floating
 route stay independent."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,3 +195,55 @@ class TestIntegerCoefficients:
         assert nf.integer_coefficients_start(nf.g0_series(200))
         assert nf.integer_coefficients_start(nf.energy_series(200), start=1)
         assert nf.integer_coefficients_start(nf.jacobian_series(200))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# a fresh interpreter (empty stores) asks each function for orders 61, 78
+# and 61 again, and prints every result as JSON, field by field
+_STORE_SCRIPT = """
+import json
+from pendnf import normal_form as nf
+out = {"calU": [], "bundle": []}
+for order in (61, 78, 61):
+    out["calU"].append(nf.normal_energy_series(order).to_json_obj())
+    b = nf.stable_bundle(order)
+    out["bundle"].append({f: getattr(b, f).to_json_obj()
+                          for f in ("g0", "energy", "rescale_sq", "normal_energy")})
+print(json.dumps(out))
+"""
+
+
+class TestSeriesStore:
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        proc = subprocess.run([sys.executable, "-c", _STORE_SCRIPT], capture_output=True,
+                              text=True, check=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("name", ["calU", "bundle"])
+    def test_lower_order_after_longer_equals_first_call(self, fresh, name):
+        first, _, again = fresh[name]
+        assert again == first
+
+    def test_orders_as_requested(self, fresh):
+        assert [s["order"] for s in fresh["calU"]] == [61, 78, 61]
+        for bundle in fresh["bundle"]:
+            assert {s["order"] for s in bundle.values()} == {bundle["g0"]["order"]}
+        assert [b["normal_energy"]["order"] for b in fresh["bundle"]] == [61, 78, 61]
+
+    def test_higher_order_after_lower(self):
+        low = nf.g0_series(3)
+        high = nf.g0_series(300)
+        assert high.order == 300 and high.coeffs[:4] == low.coeffs
+
+    def test_validation_after_longer_series(self):
+        nf.normal_energy_series(78)
+        nf.stable_bundle(78)
+        with pytest.raises(ValueError):
+            nf.normal_energy_series(1)
+        with pytest.raises(ValueError):
+            nf.energy_series(0)
+        with pytest.raises(ValueError):
+            nf.stable_bundle(1)
