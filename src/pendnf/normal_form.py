@@ -50,7 +50,6 @@ __all__ = [
 # (sign, step, offset, exponent) patterns; see series.product_series
 _G0_FACTORS = ((1, 1, 0, 1), (-1, 1, 0, -1))          # (1+x^n)/(1-x^n)
 _ENERGY_FACTORS = ((1, 2, 0, 1), (-1, 2, -1, -1))     # (1+x^(2n))/(1-x^(2n-1))
-_STABLE_ENERGY_FACTORS = ((1, 2, 0, 1), (1, 2, -1, -1))
 
 NOME_VAR = "x'"
 STABLE_NOME_VAR = "xs'"
@@ -165,9 +164,9 @@ def stable_bundle(order: int) -> StableFormBundle:
     argument x/(64 I g), and W(z) = z (1 - 2z - 4z^2 - 20z^3 - ...).
     """
     g0s = _alternate(g0_series(order), STABLE_NOME_VAR)
-    energy_s = product_series(
-        _STABLE_ENERGY_FACTORS, 8, order - 1, var=STABLE_NOME_VAR
-    ).shift()
+    # negating the nome flips exactly the odd-exponent denominators of the
+    # energy product, so Us(z) = -U(-z)
+    energy_s = -_alternate(energy_series(order), STABLE_NOME_VAR)
     a2s = _alternate(rescale_sq_series(order), STABLE_NOME_VAR)
     x_of = a2s.truncate(order - 1).shift()
     w = energy_s.compose(x_of.revert(var="z"))

@@ -11,6 +11,14 @@ coefficients grow.  The kernels behind the products, quotients, powers,
 compositions and reversions compute on Python int lists over one common
 denominator: an operation converts its operands once, runs the kernel on
 integers, and converts the result back once, so no gcd runs inside a loop.
+
+Composition and reversion split their powers into baby and giant steps
+(Brent & Kung 1978, "Fast algorithms for manipulating formal power series"):
+composition is Brent-Kung composition, blocks of the outer series summed by
+Horner in the m-th power of the inner one, and reversion is Lagrange
+inversion that reads each coefficient off a baby and a giant power.  Both make
+about 2 sqrt(order) full products where one product per power would make
+order of them.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -82,28 +90,49 @@ def _div_lists(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     return q
 
 
+def _powers(a: Sequence[int], count: int, order: int) -> list[list[int]]:
+    """[a^0, a^1, ..., a^count], each through t^order (count >= 1)."""
+    out = [[1] + [0] * order, list(a)]
+    while len(out) <= count:
+        out.append(_mul_lists(out[-1], a, order))
+    return out
+
+
 def _compose_lists(f: Sequence[int], g: Sequence[int], order: int) -> list[int]:
-    # Horner over the outer coefficients; g must have zero constant term.
-    # After f[j] is added, j more factors of g (each of valuation >= 1)
-    # follow, so only the terms through order - j can still reach the result.
-    out = [0]
-    for j in range(len(f) - 1, -1, -1):
-        out = _mul_lists(out, g, order - j)
-        out[0] += f[j]
+    """sum_j f[j] g^j through t^order; g must have zero constant term.
+
+    Brent-Kung baby-step/giant-step: with baby powers g^0..g^(m-1) and the
+    giant step G = g^m, each block P_j = sum_(i<m) f[m j + i] g^i is an
+    integer linear combination, and the blocks are summed by Horner in G.
+    After block j is added, j more factors of G (each of valuation >= m)
+    follow, so only the terms through order - m j can still reach the result.
+    """
+    m = isqrt(len(f))
+    baby = _powers(g, m, order)
+    giant = baby.pop()
+    columns = list(zip(*baby))      # columns[k][i] = [t^k] g^i
+    out: list[int] = []
+    for j in range((len(f) - 1) // m, -1, -1):
+        top = order - m * j
+        out = _mul_lists(out, giant, top) if out else [0] * (top + 1)
+        block = f[m * j:m * j + m]
+        for k in range(top + 1):
+            out[k] += sum(map(mul, block, columns[k]))
     return out
 
 
 def _pow_list(a: Sequence[int], exponent: int, order: int) -> list[int]:
-    result = [1] + [0] * order
+    # the first set bit assigns the base: no product with the unit series
+    result = None
     base = list(a)
     e = exponent
     while e:
         if e & 1:
-            result = _mul_lists(result, base, order)
+            result = base if result is None else _mul_lists(result, base, order)
         e >>= 1
         if e:
             base = _mul_lists(base, base, order)
-    return result
+    return [1] + [0] * order if result is None else result
 
 
 @dataclass(frozen=True)
@@ -146,9 +175,15 @@ class RationalSeries:
         return self.coeffs[n]
 
     def truncate(self, order: int) -> "RationalSeries":
+        if order < 0:
+            raise ValueError(f"cannot truncate a series to negative order {order}")
         if order > self.order:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
-        return RationalSeries(self.coeffs[: order + 1], self.var)
+        # the kept coefficients are Fractions already: skip __post_init__
+        out = object.__new__(RationalSeries)
+        object.__setattr__(out, "coeffs", self.coeffs[: order + 1])
+        object.__setattr__(out, "var", self.var)
+        return out
 
     def shift(self) -> "RationalSeries":
         """Multiply by the variable; gains one certified order."""
@@ -235,8 +270,10 @@ class RationalSeries:
         """Compositional inverse g with self(g) = identity, exact.
 
         Needs zero constant term and nonzero linear coefficient.  Lagrange
-        inversion: g_k = [t^(k-1)] (t/self(t))^k / k, read off one loop of
-        powers of the reciprocal of self(t)/t.
+        inversion: g_k = [t^(k-1)] (t/self(t))^k / k.  With q the reciprocal
+        of self(t)/t and m = isqrt(order), baby powers q^0..q^m and giant
+        powers q^(m j) give each [t^(k-1)] q^k, k = m j + i, as one dot
+        product, for about 2 sqrt(order) full products in all.
         """
         if self.coeffs[0] != 0:
             raise ValueError("reversion needs a series with zero constant term")
@@ -248,12 +285,16 @@ class RationalSeries:
         # [t^m] (1/p)^k = [t^m] q^k / p0^(m+k) and g_k needs it at m = k-1
         p0 = f[1]
         q = _div_lists([1], f[1:], n - 1)
+        m = isqrt(n)
+        baby = _powers(q, m, n - 1)
+        giant = baby[0]
         g = [_ZERO]
-        power = q
         for k in range(1, n + 1):
-            g.append(Fraction(den**k * power[k - 1], k * p0 ** (2 * k - 1)))
-            if k < n:
-                power = _mul_lists(power, q, n - 1)
+            j, i = divmod(k, m)
+            if i == 0:
+                giant = baby[m] if j == 1 else _mul_lists(giant, baby[m], n - 1)
+            power = sum(map(mul, giant[:k], baby[i][k - 1::-1]))
+            g.append(Fraction(den**k * power, k * p0 ** (2 * k - 1)))
         return RationalSeries(tuple(g), var if var is not None else self.var)
 
     # -- evaluation and serialization ------------------------------------------

@@ -2,6 +2,7 @@
 and the exact calU and W tables at every order the benchmark asks, must
 still give what the stored digests in perfbench/golden.json record."""
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -39,3 +40,21 @@ def test_direct_tables_match_golden():
         assert (calu.order, w.order) == (n, n)
         assert digest(calu.coeffs) == GOLDEN["tables"]["calU"][str(n)]
         assert digest(w.coeffs) == GOLDEN["tables"]["W"][str(n)]
+
+
+# SHA-256 of ",".join(str(c) for c in coeffs) at order 200, where the block
+# kernels run with m = 14; recorded from the cubic power loop and Horner
+# composition they replaced
+ORDER_200 = {
+    "calU": "9c073abb927c7927d2324865bfbf60ef24c9caf1439a691c76737f6794fb47dc",
+    "W": "cd738a33a5331198d59e323c87b958ebedf698484ecaa38e0e2a7eee1c17b1d7",
+}
+
+
+def test_order_200_digests():
+    calu = normal_form.normal_energy_series.__wrapped__(200)
+    w = normal_form.stable_bundle.__wrapped__(200).normal_energy
+    for name, s in (("calU", calu), ("W", w)):
+        text = ",".join(str(c) for c in s.coeffs)
+        assert s.order == 200
+        assert hashlib.sha256(text.encode()).hexdigest() == ORDER_200[name]

@@ -15,7 +15,7 @@ import pytest
 
 from pendnf import elliptic as el, normal_form as nf
 from pendnf.elliptic import Modulus
-from pendnf.series import RationalSeries
+from pendnf.series import RationalSeries, product_series
 
 
 class TestRateSeries:
@@ -170,6 +170,13 @@ class TestStableBundle:
         negated = tuple(-((-1) ** n) * c for n, c in enumerate(u.coeffs))
         assert us.coeffs == negated
 
+    def test_stable_energy_matches_its_product(self):
+        # the stable energy xs' prod((1+xs'^(2n))/(1+xs'^(2n-1)))^8, expanded
+        # directly, against the negated hyperbolic energy the bundle serves
+        order = 60
+        direct = product_series(((1, 2, 0, 1), (1, 2, -1, -1)), 8, order - 1).shift()
+        assert nf.stable_bundle(order).energy.coeffs == direct.coeffs
+
     def test_rescale_constant(self):
         assert nf.stable_bundle(6).rescale_sq.coeffs[0] == 1
 
@@ -247,3 +254,7 @@ class TestSeriesStore:
             nf.energy_series(0)
         with pytest.raises(ValueError):
             nf.stable_bundle(1)
+
+    def test_stored_series_reject_negative_truncation(self):
+        with pytest.raises(ValueError):
+            nf.normal_energy_series(10).truncate(-3)

@@ -3,11 +3,13 @@ re-implementations over plain Fraction lists (double-loop convolution,
 Horner composition, Lagrange inversion, factor-by-factor products)."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pendnf import series
 from pendnf.series import RationalSeries as RS, product_series
 
 
@@ -57,10 +59,32 @@ rationals = st.fractions(
 )
 
 
-def series_strategy(order=6, var="x"):
-    return st.lists(rationals, min_size=order + 1, max_size=order + 1).map(
+# sparse coefficients: zeros drawn as often as any other value
+sparse_rationals = st.one_of(st.just(F(0)), rationals)
+
+# orders 1..40 give the block kernels m = isqrt from 1 to 6, perfect-square
+# and other orders, and a partial last block
+deep_orders = st.integers(min_value=1, max_value=40)
+
+
+def series_strategy(order=6, var="x", elements=rationals):
+    return st.lists(elements, min_size=order + 1, max_size=order + 1).map(
         lambda cs: RS.from_coeffs(cs, var=var)
     )
+
+
+class CountProducts:
+    """Counts the full series products (`_mul_lists` calls) made inside."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        inner = series._mul_lists
+
+        def counted(*args):
+            self.calls += 1
+            return inner(*args)
+
+        monkeypatch.setattr(series, "_mul_lists", counted)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +138,25 @@ class TestArithmetic:
         assert (s**3).coeffs == (F(1), F(3), F(3), F(1))
         assert (s**0).coeffs == (F(1), F(0), F(0), F(0))
 
+    @settings(max_examples=20, deadline=None)
+    @given(a=series_strategy(), exponent=st.integers(min_value=0, max_value=9))
+    def test_power_matches_repeated_product(self, a, exponent):
+        want = [F(1)] + [F(0)] * 6
+        for _ in range(exponent):
+            want = conv_oracle(want, a.coeffs, 6)
+        assert list((a**exponent).coeffs) == want
+
+    def test_power_products_are_squarings_and_set_bits(self, monkeypatch):
+        # x^8 takes three squarings and no product with the unit series;
+        # x^13 (0b1101) adds one product per set bit after the first
+        s = RS.from_coeffs([1, 2, 3, 4, 5])
+        counter = CountProducts(monkeypatch)
+        s**8
+        assert counter.calls == 3
+        counter.calls = 0
+        s**13
+        assert counter.calls == 3 + 2
+
 
 class TestComposition:
     def test_identity_composition(self):
@@ -128,12 +171,22 @@ class TestComposition:
         assert got.coeffs == (F(1), F(0), F(1), F(0), F(1), F(0), F(1))
 
     @settings(max_examples=30, deadline=None)
-    @given(f=series_strategy(order=8), g=series_strategy(order=8))
-    def test_matches_horner_oracle(self, f, g):
+    @given(data=st.data(), order=deep_orders)
+    def test_matches_horner_oracle(self, data, order):
+        f = data.draw(series_strategy(order, elements=sparse_rationals))
+        g = data.draw(series_strategy(order, elements=sparse_rationals))
         g = RS.from_coeffs((F(0),) + g.coeffs[1:], var=g.var)
         got = f.compose(g).coeffs
-        want = horner_oracle(f.coeffs, g.coeffs, 8)
+        want = horner_oracle(f.coeffs, g.coeffs, order)
         assert list(got) == want
+
+    def test_product_count_is_sublinear(self, monkeypatch):
+        order = 400
+        f = RS.from_coeffs([1] * (order + 1))
+        g = RS.from_coeffs([0, 1, 1] + [0] * (order - 2))
+        counter = CountProducts(monkeypatch)
+        f.compose(g)
+        assert counter.calls <= 2 * math.ceil(math.sqrt(order + 1)) + 2
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(ValueError):
@@ -150,15 +203,24 @@ class TestReversion:
         assert f.revert().coeffs == (F(0), F(1), F(-1), F(2), F(-5), F(14))
 
     @settings(max_examples=25, deadline=None)
-    @given(f=series_strategy(order=7))
-    def test_round_trip_and_lagrange(self, f):
+    @given(data=st.data(), order=deep_orders)
+    def test_round_trip_and_lagrange(self, data, order):
+        f = data.draw(series_strategy(order, elements=sparse_rationals))
         coeffs = (F(0), F(1) if f.coeffs[1] == 0 else f.coeffs[1]) + f.coeffs[2:]
         f = RS.from_coeffs(coeffs, var=f.var)
         g = f.revert()
-        assert f.compose(g).coeffs == RS.identity(7).coeffs
-        assert g.compose(f).coeffs == RS.identity(7).coeffs
+        assert f.compose(g).coeffs == RS.identity(order).coeffs
+        assert g.compose(f).coeffs == RS.identity(order).coeffs
         assert g.revert().coeffs == f.coeffs
-        assert list(g.coeffs) == lagrange_revert_oracle(f.coeffs, 7)
+        assert list(g.coeffs) == lagrange_revert_oracle(f.coeffs, order)
+
+    def test_product_count_is_sublinear(self, monkeypatch):
+        # Lagrange inversion with one product per power would make 399
+        order = 400
+        f = RS.from_coeffs([0, 1, 1] + [0] * (order - 2))
+        counter = CountProducts(monkeypatch)
+        f.revert()
+        assert counter.calls <= 2 * math.ceil(math.sqrt(order + 1)) + 2
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -242,6 +304,19 @@ class TestStability:
     def test_truncate_cannot_extend(self):
         with pytest.raises(ValueError):
             RS.from_coeffs([1, 2]).truncate(5)
+
+    def test_truncate_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            RS.from_coeffs([1, 2, 3, 4, 5, 6]).truncate(-2)
+        with pytest.raises(ValueError):
+            RS.from_coeffs([1, 2]).truncate(-1)
+
+    def test_truncate_keeps_prefix(self):
+        s = RS.from_coeffs([1, F(1, 2), 3, -4], var="z")
+        for order in range(4):
+            t = s.truncate(order)
+            assert t == RS.from_coeffs(s.coeffs[: order + 1], var="z")
+            assert all(type(c) is F for c in t.coeffs)
 
 
 class TestSerialization:
