@@ -278,28 +278,37 @@ def _arctan_sums(p: float, q: float, x: float) -> tuple[float, float]:
 
 
 @functools.cache
-def _rescale_sq_coeffs() -> tuple[float, ...]:
-    """The normalized a^2(x') series truncated at _ORDER, in floats."""
-    return tuple(float(c) for c in normal_form.rescale_sq_series(_ORDER).coeffs)
+def _rescale_sq_coeffs() -> tuple[tuple[float, float], ...]:
+    """The normalized a^2(x') series truncated at _ORDER, in floats, as the
+    pairs (c_n, (n+1) c_n) from the highest order down: the Horner terms of
+    a^2 and of the slope of x' a^2."""
+    coeffs = [float(c) for c in normal_form.rescale_sq_series(_ORDER).coeffs]
+    return tuple((c, (n + 1) * c) for n, c in reversed(list(enumerate(coeffs))))
 
 
 def _rescale_sq(y: float) -> tuple[float, float]:
     """The normalized a^2(y) of the truncated series and the slope of
     y a^2(y), by one Horner pass."""
-    coeffs = _rescale_sq_coeffs()
     acc = 0.0
     slope = 0.0
-    for n in range(len(coeffs) - 1, -1, -1):
-        slope = slope * y + (n + 1) * coeffs[n]
-        acc = acc * y + coeffs[n]
+    for c, dc in _rescale_sq_coeffs():
+        slope = slope * y + dc
+        acc = acc * y + c
     return acc, slope
 
 
+@functools.lru_cache(maxsize=2)
 def nome_from_action(x: float, par: PendulumParams) -> float:
     """Invert the map x = x' a^2(x') for the nome on |x'| <= 0.5, by
     safeguarded Newton (absolute tolerance 1e-14 on x').  The polynomial
     inverted is exactly the one action_from_nome evaluates, x' times the
     truncated a^2 series.
+
+    Results are cached on (x, par), so a map query that needs the nome for
+    x', the phase state and the normal energy solves once.  The cache holds
+    two entries: a normal trajectory alternates between the start action
+    and the flowed one, which the rounding of (p/e)(q e) can move off it.
+    An action that raises is not cached and raises again on every call.
     """
     target = x / par.action_scale
 
@@ -385,10 +394,12 @@ def jacobian_det(n: NormalCoords, par: PendulumParams) -> float:
     def at(p: float, q: float) -> PhaseState:
         return canonical_from_normal(NormalCoords(p, q), par)
 
-    dB_dp = (at(n.p + step, n.q).B - at(n.p - step, n.q).B) / (2.0 * step)
-    dB_dq = (at(n.p, n.q + step).B - at(n.p, n.q - step).B) / (2.0 * step)
-    db_dp = (at(n.p + step, n.q).beta - at(n.p - step, n.q).beta) / (2.0 * step)
-    db_dq = (at(n.p, n.q + step).beta - at(n.p, n.q - step).beta) / (2.0 * step)
+    p_hi, p_lo = at(n.p + step, n.q), at(n.p - step, n.q)
+    q_hi, q_lo = at(n.p, n.q + step), at(n.p, n.q - step)
+    dB_dp = (p_hi.B - p_lo.B) / (2.0 * step)
+    dB_dq = (q_hi.B - q_lo.B) / (2.0 * step)
+    db_dp = (p_hi.beta - p_lo.beta) / (2.0 * step)
+    db_dq = (q_hi.beta - q_lo.beta) / (2.0 * step)
     return dB_dp * db_dq - dB_dq * db_dp
 
 
@@ -541,7 +552,11 @@ def _time_grid(t0: float, t1: float, dt: float) -> list[float]:
         raise ValueError("dt must be positive")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    steps = int(math.floor((t1 - t0) / dt + 1e-9))
+    # a t1 formed as t0 + n dt, and t1 - t0 in turn, round by up to 2.5 ulps
+    # of the larger endpoint in all; allow for that (never for more than half
+    # a step), so far from t = 0 the t1 sample is kept
+    slack = min(4.0 * math.ulp(max(abs(t0), abs(t1))) / dt, 0.5)
+    steps = int(math.floor((t1 - t0) / dt + 1e-9 + slack))
     return [t0 + i * dt for i in range(steps + 1)]
 
 

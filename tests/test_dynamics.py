@@ -2,12 +2,16 @@
 other and with the adaptive reference integrator; the canonical map must be
 area preserving and energy consistent."""
 
+import contextlib
+import hashlib
+import io
 import math
+import random
 
 import numpy as np
 import pytest
 
-from pendnf import dynamics as dyn, elliptic as el, normal_form as nf
+from pendnf import cli, dynamics as dyn, elliptic as el, normal_form as nf
 from pendnf.dynamics import (
     FlowFactors,
     NormalCoords,
@@ -261,6 +265,18 @@ class TestJacobianDeterminant:
         n = NormalCoords(0.2 * math.sqrt(par_phys.action_scale), 0.3)
         assert abs(dyn.jacobian_det(n, par_phys) - 1.0) < 1e-6
 
+    def test_each_stencil_point_mapped_once(self, par, monkeypatch):
+        calls = []
+        original = dyn.canonical_from_normal
+
+        def counted(n, params):
+            calls.append(n)
+            return original(n, params)
+
+        monkeypatch.setattr(dyn, "canonical_from_normal", counted)
+        dyn.jacobian_det(NormalCoords(0.3, 0.2), par)
+        assert len(calls) == len(set(calls)) == 4
+
     def test_misnormalized_map_detected(self, par):
         # freeze the rescale at the separatrix value: the determinant must
         # drift away from 1 as soon as x' is not negligible
@@ -437,3 +453,168 @@ class TestParams:
 
     def test_action_scale(self, par_phys):
         assert par_phys.action_scale == 32.0 * 2.5 * 0.7
+
+
+def _time_grid_floor(t0, t1, dt):
+    """The plain floor rule, which drops the t1 sample whenever forming t1
+    and t1 - t0 loses more than 1e-9 dt to rounding."""
+    steps = int(math.floor((t1 - t0) / dt + 1e-9))
+    return [t0 + i * dt for i in range(steps + 1)]
+
+
+class TestTimeGrid:
+    def test_keeps_endpoint_far_from_origin(self):
+        t0, dt = 3640414.2781883497, 0.1
+        t1 = t0 + 193 * dt
+        assert t1 == 3640433.5781883495
+        grid = dyn._time_grid(t0, t1, dt)
+        assert len(grid) == 194 and grid[-1] == t1
+        assert grid == [t0 + i * dt for i in range(194)]
+        assert len(_time_grid_floor(t0, t1, dt)) == 193
+
+    def test_seeded_lattice_endpoints(self):
+        # t1 on the grid's own lattice, t1 = t0 + n dt, at every magnitude
+        # and sign of t0: the grid has its n + 1 points t0 + i dt
+        rng = random.Random(6)
+        for _ in range(4000):
+            t0 = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-3, 8) * rng.random()
+            dt = 10 ** rng.uniform(-3, 1)
+            n = rng.randint(0, 300)
+            t1 = t0 + n * dt
+            assert dyn._time_grid(t0, t1, dt) == [t0 + i * dt for i in range(n + 1)]
+
+    def test_seeded_grids_otherwise_unchanged(self):
+        # any other t1: the grid is the floor rule's, or that plus the one
+        # lattice point the floor rule lost to rounding
+        rng = random.Random(7)
+        added = 0
+        for _ in range(4000):
+            t0 = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-3, 8) * rng.random()
+            dt = 10 ** rng.uniform(-3, 1)
+            t1 = t0 + rng.choice((rng.uniform(0, 300), rng.randint(0, 300))) * dt
+            grid, floor_grid = dyn._time_grid(t0, t1, dt), _time_grid_floor(t0, t1, dt)
+            if grid != floor_grid:
+                added += 1
+                assert grid[:-1] == floor_grid
+                assert grid[-1] - t1 <= 4 * math.ulp(max(abs(t0), abs(t1)))
+        assert added > 0
+
+    def test_grids_from_origin_keep_their_endpoint(self):
+        for t1, dt, n in ((10.0, 0.01, 1000), (2.0, 0.01, 200), (1.0, 0.3, 3), (0.0, 0.5, 0)):
+            assert dyn._time_grid(0.0, t1, dt) == _time_grid_floor(0.0, t1, dt)
+            assert len(dyn._time_grid(0.0, t1, dt)) == n + 1
+
+
+def _sha(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _normal_trajectory_digest(h: float, par: PendulumParams) -> str:
+    recs = dyn.trajectory("normal", Modulus.from_h(h), par, 0.0, 10.0, 0.05)
+    return _sha(f"{r.t!r} {r.B!r} {r.beta!r} {r.energy!r}" for r in recs)
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _map_points(par: PendulumParams, seed: int, count: int):
+    """Seeded normal coordinates over |x'| <= 0.5: uneven splits of the
+    action, random signs, and one point in ten on an axis."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        x = dyn.action_from_nome(rng.uniform(-0.5, 0.5), par)
+        if rng.random() < 0.1:
+            root = math.sqrt(par.action_scale) * rng.uniform(-0.7, 0.7)
+            yield NormalCoords(root, 0.0) if rng.random() < 0.5 else NormalCoords(0.0, root)
+            continue
+        p = math.copysign(math.sqrt(abs(x)) * rng.uniform(0.25, 4.0), rng.uniform(-1, 1))
+        yield NormalCoords(p, x / p)
+
+
+def _map_digest(par: PendulumParams, seed: int, count: int) -> str:
+    def phase(n):
+        state = dyn.canonical_from_normal(n, par)
+        return state, dyn.hamiltonian(state, par)
+
+    return _sha(" ".join((
+        repr(n.p), repr(n.q),
+        _outcome(dyn.nome_from_action, n.x, par),
+        _outcome(phase, n),
+        _outcome(dyn.normal_energy, n.x, par),
+        _outcome(dyn.jacobian_det, n, par),
+    )) for n in _map_points(par, seed, count))
+
+
+PARAMS = {"unit": PendulumParams(I=1.0, g=1.0), "b": PendulumParams(I=0.37, g=2.3)}
+
+
+class TestPinnedBytes:
+    """Outputs the CLI digests do not cover, pinned bit for bit: the normal
+    trajectory and the canonical map, with their errors."""
+
+    TRAJECTORY = {
+        (1e-6, "unit"):
+            "040debaee5d9f26267866f8cf326b0cecb5c0f503e8f67c6659825ac1c08210e",
+        (0.3, "unit"):
+            "59d277cdddfbdf6324d2e04122c1f27eab7e021a2624098ecf1da835a0d9d132",
+        (0.9, "unit"):
+            "1700b35c1909d67562dad25ac96646bf2a9447a76e7edf119d5b6ee935167b38",
+        (1e-6, "b"):
+            "1b80c6b71fb22f656dcf5f5d4e48c76dc018d1d80a1ddcb3b277f7313c9348da",
+        (0.3, "b"):
+            "8988b9aa8f9eef1da7a1f7b901af92e9fd9a848ce6e9c5fa083023c38938fff4",
+        (0.9, "b"):
+            "d3c2072c6bd1606056b1fbf8d6249b340035cd9a6b6fcd1cbf6a8fd4867e7510",
+    }
+    # seed of the points, digest
+    MAP = {
+        "unit": (60, "ffe096f3a5965556ce502d7029437045cc5b5f3345b90da3b84f03b8d0770917"),
+        "b": (61, "97833587d5b2ec15f7642e6ca0d8dc10bfab8fdd9fb091c5c2cc0f4f78e0376f"),
+    }
+
+    @pytest.mark.parametrize("h,which", sorted(TRAJECTORY))
+    def test_normal_trajectory(self, h, which):
+        assert _normal_trajectory_digest(h, PARAMS[which]) == self.TRAJECTORY[(h, which)]
+
+    @pytest.mark.parametrize("which", sorted(MAP))
+    def test_map_outputs(self, which):
+        seed, digest = self.MAP[which]
+        assert _map_digest(PARAMS[which], seed, 100) == digest
+
+
+class TestNomeCache:
+    def test_alternating_params_match_uncached(self, par):
+        x = 0.9
+        for _ in range(3):
+            for params in (par, PARAMS["b"], par):
+                assert dyn.nome_from_action(x, params) == dyn.nome_from_action.__wrapped__(x, params)
+        assert dyn.nome_from_action(x, par) != dyn.nome_from_action(x, PARAMS["b"])
+
+    def test_errors_are_not_cached(self, par):
+        argv = ["map", "--p", "1", "--q", "-2.5445688846475436"]
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="did not converge"):
+                dyn.nome_from_action(-2.5445688846475436, par)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert cli.main(argv) == 1
+            assert "nome inversion did not converge" in err.getvalue()
+
+    def test_one_solve_per_map_query(self):
+        dyn.nome_from_action.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["map", "--p", "0.31", "--q", "0.27"]) == 0
+        assert dyn.nome_from_action.cache_info().misses == 1
+
+    def test_normal_trajectory_reuses_the_start_action(self, par):
+        dyn.nome_from_action.cache_clear()
+        recs = dyn.trajectory("normal", Modulus.from_h(0.3), par, 0.0, 10.0, 0.01)
+        info = dyn.nome_from_action.cache_info()
+        assert len(recs) == 1001
+        assert info.hits + info.misses == 2002
+        assert info.misses < len(recs)
+        assert info.currsize <= 2
