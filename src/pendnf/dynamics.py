@@ -310,6 +310,8 @@ def nome_from_action(x: float, par: PendulumParams) -> float:
     and the flowed one, which the rounding of (p/e)(q e) can move off it.
     An action that raises is not cached and raises again on every call.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"action x = p q must be finite, got {x}")
     target = x / par.action_scale
 
     def f_and_slope(y: float) -> tuple[float, float]:

@@ -96,21 +96,21 @@ class Modulus:
         return cls.from_k(g * math.sqrt(2.0 * inertia / energy))
 
 
-def _agm(m: float) -> tuple[float, float, float]:
+def _agm(m: float, with_sum: bool) -> tuple[float, float, float]:
     """The AGM of 1 and sqrt(1 - m^2), stopped once |a - b| reaches a few
     ulp: the last (a, b) and the sum sum_n 2^(n-1) c_n^2 over the
-    half-differences, c_0 = m.
+    half-differences, c_0 = m (only E needs it; with_sum=False keeps n = 0).
     """
     a, b = 1.0, math.sqrt((1.0 - m) * (1.0 + m))
     total = 0.5 * m * m
-    pow2 = 0.5
+    scale = 0.125               # 2^(n-1) c_n^2 = 2^(n-3) (a - b)^2 of the step before
     for _ in range(_AGM_MAX_ITER):
         if abs(a - b) <= _AGM_RTOL * a:
             break
-        c = 0.5 * (a - b)
+        if with_sum:
+            scale *= 2.0
+            total += scale * (a - b) * (a - b)
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-        pow2 *= 2.0
-        total += pow2 * c * c
     return a, b, total
 
 
@@ -121,7 +121,7 @@ def complete_k(m: float) -> float:
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {m}")
-    a, b, _ = _agm(m)
+    a, b, _ = _agm(m, with_sum=False)
     return math.pi / (2.0 * (0.5 * (a + b)))
 
 
@@ -135,7 +135,7 @@ def complete_e(m: float) -> float:
         raise ValueError(f"modulus must lie in [0, 1], got {m}")
     if m == 1.0:
         return 1.0
-    a, _, total = _agm(m)
+    a, _, total = _agm(m, with_sum=True)
     return math.pi / (2.0 * a) * (1.0 - total)
 
 

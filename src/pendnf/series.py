@@ -11,6 +11,8 @@ coefficients grow.  The kernels behind the products, quotients, powers,
 compositions and reversions compute on Python int lists over one common
 denominator: an operation converts its operands once, runs the kernel on
 integers, and converts the result back once, so no gcd runs inside a loop.
+A power of a q-product needs no series product: it comes from the small-integer
+logarithmic derivative L by m c_m = power sum_k L_k c_(m-k) (Knuth, TAOCP 4.7).
 
 Composition and reversion split their powers into baby and giant steps
 (Brent & Kung 1978, "Fast algorithms for manipulating formal power series"):
@@ -254,7 +256,8 @@ class RationalSeries:
     def derivative(self) -> "RationalSeries":
         if self.order < 1:
             raise ValueError("derivative of an order-0 series certifies no coefficients")
-        return RationalSeries(tuple(n * c for n, c in enumerate(self.coeffs) if n), self.var)
+        nums, den = _ints(self.coeffs)
+        return RationalSeries(_fracs([n * c for n, c in enumerate(nums) if n], den), self.var)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """self(inner); inner must have zero constant term."""
@@ -356,32 +359,27 @@ def product_series(
     prod_{n>=1} (1 + sign * var^(step*n + offset))^exponent with sign and
     exponent in {+1, -1}.  Binomials whose exponent step*n+offset exceeds the
     order cannot touch the kept coefficients, so the truncation is exact.
+
+    The power comes from the small-integer logarithmic derivative L = var d/dvar
+    log of the product, (1 + s var^e)^eps adding eps e sum_k -(-s)^k var^(e k):
+    m c_m = sum_(k=1..m) power L_k c_(m-k), c_0 = 1 (Knuth, TAOCP Vol. 2, 4.7).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if not isinstance(power, int) or power < 0:
         raise ValueError("power must be a nonnegative integer")
-    acc = [1] + [0] * order
+    weights = [0] * order              # weights[k - 1] = power L_k
     for sign, step, offset, exponent in factors:
         if sign not in (1, -1) or exponent not in (1, -1) or step < 1:
             raise ValueError(f"invalid factor descriptor {(sign, step, offset, exponent)}")
         if step + offset < 1:
             raise ValueError("factor exponents must start at a positive power")
-        n = 1
-        while step * n + offset <= order:
-            e = step * n + offset
-            if exponent == 1:
-                # multiply by (1 + sign*x^e), highest power first so the
-                # update reads not-yet-written entries
-                for i in range(order, e - 1, -1):
-                    if acc[i - e]:
-                        acc[i] += sign * acc[i - e]
-            else:
-                # divide by (1 + sign*x^e)
-                for i in range(e, order + 1):
-                    if acc[i - e]:
-                        acc[i] -= sign * acc[i - e]
-            n += 1
-    if power != 1:
-        acc = _pow_list(acc, power, order)
+        for e in range(step + offset, order + 1, step):
+            term = sign * power * exponent * e
+            for i in range(e, order + 1, e):
+                weights[i - 1] += term
+                term *= -sign
+    acc = [1]
+    for m in range(1, order + 1):
+        acc.append(sum(map(mul, weights, reversed(acc))) // m)
     return RationalSeries(_fracs(acc, 1), var)

@@ -604,6 +604,31 @@ class TestNomeCache:
                 assert cli.main(argv) == 1
             assert "nome inversion did not converge" in err.getvalue()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected_before_any_step(self, par, monkeypatch, bad):
+        steps = []
+        rescale_sq = dyn._rescale_sq
+
+        def counted(y):
+            steps.append(y)
+            return rescale_sq(y)
+
+        monkeypatch.setattr(dyn, "_rescale_sq", counted)
+        # a non-finite coordinate makes the action p q non-finite (inf * 0 is nan)
+        calls = [
+            (dyn.nome_from_action, (bad, par)),
+            (dyn.normal_energy, (bad, par)),
+            (dyn.canonical_from_normal, (NormalCoords(bad, 0.5), par)),
+            (dyn.canonical_from_normal, (NormalCoords(0.5, bad), par)),
+            (dyn.canonical_from_normal, (NormalCoords(bad, 0.0), par)),
+        ]
+        message = "action x = p q must be finite, got (nan|inf|-inf)"
+        for _ in range(2):      # an error is not cached: the second call raises too
+            for fn, args in calls:
+                with pytest.raises(ValueError, match=message):
+                    fn(*args)
+        assert steps == []
+
     def test_one_solve_per_map_query(self):
         dyn.nome_from_action.cache_clear()
         with contextlib.redirect_stdout(io.StringIO()):

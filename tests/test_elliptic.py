@@ -1,6 +1,7 @@
 """Elliptic kernel tests: quadrature and ODE oracles, classical identities,
 domain errors."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -66,6 +67,20 @@ class TestCompleteIntegrals:
         for bad in (-0.2, 1.1):
             with pytest.raises(ValueError):
                 el.complete_e(bad)
+
+    # SHA-256 of ",".join(v.hex()) over GRID, recorded while K and E still
+    # both summed the squared half-differences in the shared AGM loop
+    GRID = [m for m in [i / 1000 for i in range(1000)] + [1 - 10.0**-k for k in range(4, 17)]
+            + [10.0**-k for k in range(1, 300, 7)] if m < 1]
+    BITS = {
+        "complete_k": "2c59ef2c9f85e4b82c1ef91012c015375911d79f8a0b1689e241b3d6dcbf58e0",
+        "complete_e": "be8218a6d1c932322b54327f8eeaad3b32b4abdf7d778e790d8dcdc1a2498583",
+    }
+
+    @pytest.mark.parametrize("name", sorted(BITS))
+    def test_pinned_bits(self, name):
+        text = ",".join(getattr(el, name)(m).hex() for m in self.GRID)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.BITS[name]
 
 
 class TestJacobiFunctions:

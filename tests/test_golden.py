@@ -58,3 +58,22 @@ def test_order_200_digests():
         text = ",".join(str(c) for c in s.coeffs)
         assert s.order == 200
         assert hashlib.sha256(text.encode()).hexdigest() == ORDER_200[name]
+
+
+# SHA-256 of ",".join(str(c) for c in coeffs) of the two q-products, recorded
+# from the binomial-loop expansion with repeated squaring that the
+# log-derivative power recurrence replaced
+PRODUCTS = {
+    ("g0_series", 240): "9ba2a3cd341fb3bd678800f50ab66688d74965e0d313bdf198a752300bec8f90",
+    ("g0_series", 400): "5bf2d2e713d34a55c79a52380215c955792aa9a08325a3e19157351371ae4a92",
+    ("energy_series", 240): "48f4b5c28c51bf97245df1d796ece4f5a463f794072c041dda3d31f7aa118fae",
+    ("energy_series", 400): "e39e60c8e565ebecc7a0319b2e2f9bf1c44e23c2b893c9ad5c1368abcd6d9141",
+}
+
+
+def test_product_digests():
+    for (name, order), want in PRODUCTS.items():
+        s = getattr(normal_form, name).__wrapped__(order)
+        text = ",".join(str(c) for c in s.coeffs)
+        assert s.order == order
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (name, order)

@@ -196,6 +196,21 @@ class TestThetaLogDeriv:
         s = nf.g0_series(5).derivative().shift() / nf.g0_series(5)
         assert s.coeffs[0] == 0 and s.coeffs[1] == 4
 
+    @pytest.mark.parametrize("k", [1, 2, 17, 40])
+    def test_detects_perturbed_rate_coefficient(self, monkeypatch, k):
+        # g0 is built from the descriptors' log-derivative, which route (i)
+        # gives back by construction; one wrong stored coefficient must still
+        # show against the divisor sum (ii) at exactly that power
+        stored = nf.g0_series
+
+        def perturbed(order):
+            s = stored(order)
+            return RationalSeries(s.coeffs[:k] + (s.coeffs[k] + 1,) + s.coeffs[k + 1:], s.var)
+
+        monkeypatch.setattr(nf, "g0_series", perturbed)
+        report = nf.theta_logderiv_check(40)
+        assert not report.passed and report.first_mismatch == k
+
 
 class TestIntegerCoefficients:
     def test_to_order_200(self):

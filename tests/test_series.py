@@ -54,6 +54,24 @@ def lagrange_revert_oracle(f, order):
     return out
 
 
+def binomial_product_oracle(factors, power, order):
+    """The expansion product_series made before the log-derivative power
+    recurrence: one in-place pass per binomial, then the power by repeated
+    squaring."""
+    acc = [1] + [0] * order
+    for sign, step, offset, exponent in factors:
+        for e in range(step + offset, order + 1, step):
+            if exponent == 1:
+                # multiply by (1 + sign x^e), highest power first
+                for i in range(order, e - 1, -1):
+                    acc[i] += sign * acc[i - e]
+            else:
+                # divide by (1 + sign x^e)
+                for i in range(e, order + 1):
+                    acc[i] -= sign * acc[i - e]
+    return series._pow_list(acc, power, order)
+
+
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
@@ -282,6 +300,25 @@ class TestProducts:
                 acc = conv_oracle(acc, geo, order)
                 n += 1
         assert list(got.coeffs) == acc
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        factors=st.lists(
+            st.tuples(
+                st.sampled_from((1, -1)),
+                st.integers(min_value=1, max_value=3),
+                st.integers(min_value=0, max_value=4),
+                st.sampled_from((1, -1)),
+            ).map(lambda f: (f[0], f[1], f[2] - f[1] + 1, f[3])),   # step + offset >= 1
+            max_size=4,
+        ),
+        power=st.integers(min_value=0, max_value=9),
+        order=st.integers(min_value=0, max_value=60),
+    )
+    def test_matches_binomial_oracle(self, factors, power, order):
+        got = product_series(factors, power, order)
+        assert got.order == order
+        assert list(got.coeffs) == binomial_product_oracle(factors, power, order)
 
     def test_invalid_descriptor(self):
         with pytest.raises(ValueError):
