@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,21 +96,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _fraction(text: str) -> Fraction:
+def _positive_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
-
-
-def _capped_order(order: int) -> int:
-    cap = os.environ.get("PEND_NF_MAX_ORDER")
-    if cap is None:
-        return order
-    try:
-        return min(order, max(1, int(cap)))
-    except ValueError:
-        raise ValueError(f"PEND_NF_MAX_ORDER must be an integer, got {cap!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -351,7 +343,6 @@ def _suite_stable(order: int, tol: float | None, par: PendulumParams) -> list[Ch
 
 
 def run_verify(args: argparse.Namespace) -> int:
-    order = _capped_order(args.order)
     par = PendulumParams(I=args.I, g=args.g)
     # built per call, so a rebound _suite_* name (the benchmark tracer's) runs
     suites = {
@@ -367,7 +358,7 @@ def run_verify(args: argparse.Namespace) -> int:
     names = sorted(suites) if args.suite == "all" else [args.suite]
     results: list[CheckResult] = []
     for name in names:
-        results.extend(suites[name](order, args.tol, par))
+        results.extend(suites[name](args.order, args.tol, par))
     results.sort(key=lambda r: r.name)
     lines = [r.line() for r in results]
     passed = all(r.passed for r in results)
@@ -382,7 +373,7 @@ def run_verify(args: argparse.Namespace) -> int:
 
 def run_coeffs(args: argparse.Namespace) -> int:
     build, factor = _SERIES[args.series]
-    series = build(_capped_order(args.order))
+    series = build(args.order)
     convention = "normalized (g = 1, 32*I*g = 1)"
     if args.physical:
         inertia, g = args.I_exact, args.g_exact
@@ -415,10 +406,7 @@ def run_trajectory(args: argparse.Namespace) -> int:
         mod = Modulus.from_h(args.h)
     else:
         mod = Modulus.from_energy(args.energy, par.I, par.g)
-    records = dynamics.trajectory(
-        args.method, mod, par, args.t0, args.t1, args.dt,
-        tol=args.tol if args.tol is not None else 1e-10,
-    )
+    records = dynamics.trajectory(args.method, mod, par, args.t0, args.t1, args.dt, tol=args.tol)
     lines = ["t,B,beta,energy,method"]
     for r in records:
         lines.append(f"{r.t:.17g},{r.B:.17g},{r.beta:.17g},{r.energy:.17g},{r.method}")
@@ -486,9 +474,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_positive_int, default=20)
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--physical", action="store_true", help="rescale to physical I, g")
-    p.add_argument("--I", type=_fraction, default=Fraction(1), dest="I_exact",
+    p.add_argument("--I", type=_positive_fraction, default=Fraction(1), dest="I_exact",
                    help="inertia moment as an exact rational, e.g. 1/32 (with --physical)")
-    p.add_argument("--g", type=_fraction, default=Fraction(1), dest="g_exact",
+    p.add_argument("--g", type=_positive_fraction, default=Fraction(1), dest="g_exact",
                    help="gravity rate as an exact rational (with --physical)")
     p.add_argument("--output", help="write to this path instead of stdout")
 
@@ -500,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=_finite_float, default=0.0)
     p.add_argument("--t1", type=_finite_float, required=True)
     p.add_argument("--dt", type=_positive_float, required=True)
-    p.add_argument("--tol", type=_positive_float, default=None, help="reference-integrator tolerance")
+    p.add_argument("--tol", type=_positive_float, default=1e-10, help="reference-integrator tolerance")
 
     p = sub.add_parser("map", parents=[common], help="query the canonical map at normal coordinates (p, q)")
     p.add_argument("--p", type=_finite_float, required=True)

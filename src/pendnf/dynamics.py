@@ -320,23 +320,17 @@ def nome_from_action(x: float, par: PendulumParams) -> float:
 
     if target == 0.0:
         return 0.0
-    # bracket the root: the map is increasing where the phase-area factor
-    # stays positive, which covers the nome bound
+    # bracket the root: y a^2(y) is increasing on [-_NOME_BOUND, _NOME_BOUND],
+    # its slope nowhere below 6.5e-4 (the least is near y = -0.454), so the
+    # end of the range on the target's side and 0 bracket any root in range
     if target > 0.0:
         lo, hi = 0.0, min(target, _NOME_BOUND)
-        if f_and_slope(hi)[0] < 0.0:
-            raise ValueError(f"action {x} is outside the invertible range (|x'| <= {_NOME_BOUND})")
+        outside = f_and_slope(hi)[0] < 0.0
     else:
-        lo = max(target, -_NOME_BOUND)
-        for _ in range(64):
-            if f_and_slope(lo)[0] <= 0.0:
-                break
-            lo = max(lo * 1.5, -_NOME_BOUND)
-            if lo == -_NOME_BOUND and f_and_slope(lo)[0] > 0.0:
-                raise ValueError(
-                    f"action {x} is outside the invertible range (|x'| <= {_NOME_BOUND})"
-                )
-        hi = 0.0
+        lo, hi = -_NOME_BOUND, 0.0
+        outside = f_and_slope(lo)[0] > 0.0
+    if outside:
+        raise ValueError(f"action {x} is outside the invertible range (|x'| <= {_NOME_BOUND})")
     y = min(max(target, lo), hi)
     for _ in range(200):
         val, slope = f_and_slope(y)
@@ -539,14 +533,15 @@ def stable_state(x_s_prime: float, t: float, par: PendulumParams) -> PhaseState:
 def rk_oracle(
     state0: PhaseState, par: PendulumParams, t: float, tol: float = 1e-10
 ) -> PhaseState:
-    """Reference endpoint from adaptive high-order integration of the bare
-    equations of motion dbeta/dt = B/I, dB/dt = +I g^2 sin(beta).
+    """Reference endpoint at time t (either sign) from adaptive high-order
+    integration of the bare equations of motion dbeta/dt = B/I,
+    dB/dt = +I g^2 sin(beta): the last sample of _rk_batch on [0, t].
 
     The momentum equation carries a plus sign because the angle origin sits
     at the unstable equilibrium: the potential -I g^2 (1 - cos beta) falls
     away from beta = 0, so the momentum grows as the bob drops.
     """
-    return _rk_solve(state0, par, t, tol)[-1]
+    return _rk_batch(state0, par, [0.0, t], tol)[-1]
 
 
 def _time_grid(t0: float, t1: float, dt: float) -> list[float]:
@@ -554,11 +549,14 @@ def _time_grid(t0: float, t1: float, dt: float) -> list[float]:
         raise ValueError("dt must be positive")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
+    span = (t1 - t0) / dt
+    if not math.isfinite(span):
+        raise ValueError(f"no finite sample count from t0 = {t0} to t1 = {t1} in steps dt = {dt}")
     # a t1 formed as t0 + n dt, and t1 - t0 in turn, round by up to 2.5 ulps
     # of the larger endpoint in all; allow for that (never for more than half
     # a step), so far from t = 0 the t1 sample is kept
     slack = min(4.0 * math.ulp(max(abs(t0), abs(t1))) / dt, 0.5)
-    steps = int(math.floor((t1 - t0) / dt + 1e-9 + slack))
+    steps = int(math.floor(span + 1e-9 + slack))
     return [t0 + i * dt for i in range(steps + 1)]
 
 
@@ -600,40 +598,28 @@ def trajectory(
 def _rk_batch(
     state0: PhaseState, par: PendulumParams, times: list[float], tol: float
 ) -> list[PhaseState]:
-    """Integrate from the t = 0 initial state and sample at the given
-    (nonnegative, increasing) times."""
-    return _rk_solve(state0, par, times[-1], tol, times)
-
-
-def _rk_solve(
-    state0: PhaseState,
-    par: PendulumParams,
-    t_end: float,
-    tol: float,
-    t_eval: list[float] | None = None,
-) -> list[PhaseState]:
-    """DOP853 on dbeta/dt = B/I, dB/dt = I g^2 sin(beta) from t = 0 to
-    t_end: the states at the times t_eval, or at t_end alone without them."""
+    """The states at the given times from DOP853 on dbeta/dt = B/I,
+    dB/dt = I g^2 sin(beta), started at t = 0: a grid of nonnegative
+    increasing times, or [0, t] with t of either sign for one endpoint."""
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError(f"tolerance must lie in [1e-13, 1e-6], got {tol}")
-    if t_eval is not None and t_eval[0] < 0.0:
+    if times[0] < 0.0:
         raise ValueError("reference trajectories start at t = 0; need t0 >= 0")
-    if t_end == 0.0:
-        return [state0] * (1 if t_eval is None else len(t_eval))
+    if times[-1] == 0.0:
+        return [state0] * len(times)
 
     def rhs(_t, y):
         return [y[1] / par.I, par.I * par.g**2 * math.sin(y[0])]
 
     sol = solve_ivp(
         rhs,
-        (0.0, t_end),
+        (0.0, times[-1]),
         [state0.beta, state0.B],
         method="DOP853",
         rtol=tol,
         atol=tol * max(1.0, par.I * par.g),
-        t_eval=t_eval,
+        t_eval=times,
     )
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")
-    y = sol.y if t_eval is not None else sol.y[:, -1:]
-    return [PhaseState(B=B, beta=beta) for beta, B in y.T]
+    return [PhaseState(B=B, beta=beta) for beta, B in sol.y.T]

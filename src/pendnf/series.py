@@ -226,7 +226,8 @@ class RationalSeries:
             (a, da), (b, db) = _ints(self.coeffs[: n + 1]), _ints(other.coeffs[: n + 1])
             return RationalSeries(_fracs(_mul_lists(a, b, n), da * db), self.var)
         c = _rat(other)
-        return RationalSeries(tuple(c * v for v in self.coeffs), self.var)
+        nums, den = _ints(self.coeffs)
+        return RationalSeries(_fracs([n * c.numerator for n in nums], den * c.denominator), self.var)
 
     __rmul__ = __mul__
 
@@ -243,7 +244,7 @@ class RationalSeries:
         c = _rat(other)
         if c == 0:
             raise ZeroDivisionError("division of a series by zero")
-        return RationalSeries(tuple(v / c for v in self.coeffs), self.var)
+        return self * (1 / c)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

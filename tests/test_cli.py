@@ -1,8 +1,7 @@
 """Command-line interface tests: exit-code contract, output formats,
-determinism, environment cap."""
+determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -68,11 +67,24 @@ class TestExitCodes:
         assert f"error: argument {flag}: must be finite" in err
         assert "Traceback" not in err
 
-    def test_bad_order_cap_names_the_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("PEND_NF_MAX_ORDER", "abc")
-        assert run_cli(["coeffs", "--series", "g0", "--order", "3"]) == 2
+    @pytest.mark.parametrize("flag, value", [("--g", "-2"), ("--I", "0"), ("--g", "0"),
+                                             ("--I", "-1/32")])
+    def test_non_positive_exact_parameter_is_two(self, capsys, flag, value):
+        argv = ["coeffs", "--series", "calU", "--order", "3", "--physical", f"{flag}={value}"]
+        assert run_cli(argv) == 2
         err = capsys.readouterr().err
-        assert "pend-nf: error: PEND_NF_MAX_ORDER" in err and "'abc'" in err
+        assert f"error: argument {flag}: must be positive, got {value}\n" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("t0, t1, dt", [("0", "1e300", "1e-300"), ("-1e308", "1e308", "1")])
+    def test_non_finite_sample_count_is_two(self, capsys, t0, t1, dt):
+        # (t1 - t0) / dt overflows: a usage error, not a failed check
+        argv = ["trajectory", "--method", "closed", "--h", "0.3", f"--t0={t0}", "--t1", t1,
+                "--dt", dt]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"pend-nf: error: no finite sample count from t0 = {float(t0)} "
+                       f"to t1 = {float(t1)} in steps dt = {float(dt)}\n")
 
     def test_tolerance_override_pass(self, capsys):
         assert run_cli(["verify", "--suite", "legendre", "--tol", "1e-12"]) == 0
@@ -87,10 +99,21 @@ class TestVerify:
     def test_theta_suite(self, capsys):
         assert run_cli(["verify", "--suite", "theta", "--order", "30"]) == 0
 
-    def test_order_cap_from_environment(self, capsys, monkeypatch):
+    def test_order_is_used_as_given(self, capsys, monkeypatch):
+        # PEND_NF_MAX_ORDER once capped --order; no output reads it now
+        argvs = [["verify", "--suite", "identity51", "--order", "150"],
+                 ["coeffs", "--series", "calU", "--order", "12"],
+                 ["map", "--p", "0.3", "--q", "0.2", "--format", "text"]]
+        outputs = []
+        for argv in argvs:
+            assert run_cli(argv) == 0
+            outputs.append(capsys.readouterr().out)
         monkeypatch.setenv("PEND_NF_MAX_ORDER", "8")
-        assert run_cli(["verify", "--suite", "identity51", "--order", "150"]) == 0
-        assert "order 8" in capsys.readouterr().out
+        for argv, out in zip(argvs, outputs):
+            assert run_cli(argv) == 0
+            assert capsys.readouterr().out == out
+        assert "exact to order 150" in outputs[0]
+        assert "x^12 + O(x^13)" in outputs[1]
 
     def test_summary_line(self, capsys):
         run_cli(["verify", "--suite", "legendre"])
@@ -198,14 +221,6 @@ class TestMap:
         assert result.returncode == 1
         assert result.stderr == "pend-nf: check failed: nome inversion did not converge\n"
         assert "Traceback" not in result.stderr
-
-    def test_order_cap_does_not_reach_the_map(self, capsys, monkeypatch):
-        argv = ["map", "--p", "0.3", "--q", "0.2", "--format", "text"]
-        assert run_cli(argv) == 0
-        uncapped = capsys.readouterr().out
-        monkeypatch.setenv("PEND_NF_MAX_ORDER", "5")
-        assert run_cli(argv) == 0
-        assert capsys.readouterr().out == uncapped
 
 
 # every grid the verify suites sample, at the default and two other rates g

@@ -207,6 +207,32 @@ class TestCanonicalMap:
                 x = dyn.action_from_nome(float(x_prime), params)
                 assert dyn.nome_from_action(x, params) == pytest.approx(x_prime, abs=1e-15)
 
+    def test_negative_side_matches_the_bracket_search(self):
+        # the bracket [-_NOME_BOUND, 0] gives the bits the widening search
+        # gave, or the same error, two thirds of the actions near the
+        # saturated end of the map
+        rng = random.Random(8401)
+        solve = dyn.nome_from_action.__wrapped__
+        for i in range(5000):
+            par = SCAN_PARAMS[i % 3]
+            x_prime = rng.uniform(-0.5, -0.25) if i % 3 else rng.uniform(-0.25, 0.0)
+            x = dyn.action_from_nome(x_prime, par) * (1.0 + rng.uniform(-1e-3, 1e-3))
+            assert _outcome_hex(solve, x, par) == _outcome_hex(_bracket_search_nome, x, par)
+
+    def test_negative_side_checks_the_bound_then_runs_newton(self, par, monkeypatch):
+        x = dyn.action_from_nome(-0.05, par)
+        points = []
+        rescale_sq = dyn._rescale_sq
+
+        def recorded(y):
+            points.append(y)
+            return rescale_sq(y)
+
+        monkeypatch.setattr(dyn, "_rescale_sq", recorded)
+        dyn.nome_from_action.__wrapped__(x, par)
+        assert points[:2] == [-dyn._NOME_BOUND, x / par.action_scale]
+        assert points.count(-dyn._NOME_BOUND) == 1
+
     def test_out_of_range_action(self, par):
         # positive actions are reachable up to x(0.5); negative ones saturate
         # near -0.08 * 32*I*g long before the nome bound
@@ -214,6 +240,60 @@ class TestCanonicalMap:
             dyn.nome_from_action(par.action_scale * 1e4, par)
         with pytest.raises(ValueError):
             dyn.nome_from_action(-par.action_scale * 0.2, par)
+
+
+SCAN_PARAMS = (PendulumParams(1.0, 1.0), PendulumParams(0.37, 2.3), PendulumParams(2.5, 0.7))
+
+
+def _bracket_search_nome(x, par):
+    """nome_from_action with its former negative-side bracket: start at the
+    target and widen by 1.5 until f(lo) <= 0, for at most 64 steps."""
+    if not math.isfinite(x):
+        raise ValueError(f"action x = p q must be finite, got {x}")
+    target = x / par.action_scale
+    bound = dyn._NOME_BOUND
+
+    def f_and_slope(y):
+        a2, slope = dyn._rescale_sq(y)
+        return y * a2 - target, slope
+
+    if target == 0.0:
+        return 0.0
+    if target > 0.0:
+        lo, hi = 0.0, min(target, bound)
+        if f_and_slope(hi)[0] < 0.0:
+            raise ValueError(f"action {x} is outside the invertible range (|x'| <= {bound})")
+    else:
+        lo = max(target, -bound)
+        for _ in range(64):
+            if f_and_slope(lo)[0] <= 0.0:
+                break
+            lo = max(lo * 1.5, -bound)
+            if lo == -bound and f_and_slope(lo)[0] > 0.0:
+                raise ValueError(f"action {x} is outside the invertible range (|x'| <= {bound})")
+        hi = 0.0
+    y = min(max(target, lo), hi)
+    for _ in range(200):
+        val, slope = f_and_slope(y)
+        if val > 0.0:
+            hi = y
+        else:
+            lo = y
+        step = -val / slope if slope != 0.0 else math.nan
+        y_new = y + step
+        if not lo <= y_new <= hi:
+            y_new = 0.5 * (lo + hi)
+        if abs(y_new - y) <= 1e-14 * max(1.0, abs(y_new)):
+            return y_new
+        y = y_new
+    raise RuntimeError("nome inversion did not converge")
+
+
+def _outcome_hex(fn, *args) -> str:
+    try:
+        return fn(*args).hex()
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestNormalFlow:
@@ -410,6 +490,32 @@ class TestReferenceIntegrator:
     def test_tolerance_domain(self, par):
         with pytest.raises(ValueError):
             dyn.rk_oracle(PhaseState(1.0, 0.0), par, 1.0, tol=1e-3)
+
+    def test_pinned_endpoints(self):
+        # endpoints of seeded forward, backward and t = 0 solves, by float
+        # hex, as computed when the endpoint had its own integration path
+        rng = random.Random(8501)
+        for i, (B_hex, beta_hex) in enumerate(RK_ENDPOINTS):
+            par = PendulumParams(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0))
+            state = PhaseState(rng.uniform(-3.0, 3.0), rng.uniform(-3.5, 3.5))
+            t = (0.0, rng.uniform(-15.0, 0.0), rng.uniform(0.0, 15.0))[i % 3]
+            tol = 10.0 ** rng.uniform(-12.0, -8.0)
+            end = dyn.rk_oracle(state, par, t, tol)
+            assert (end.B.hex(), end.beta.hex()) == (B_hex, beta_hex)
+
+
+RK_ENDPOINTS = [
+    ("0x1.a18824e034848p+0", "-0x1.e33baa0403678p-2"),  # t = 0
+    ("-0x1.041148d469cbfp+1", "0x1.e6487f741b8aap+2"),  # t = -12
+    ("-0x1.c986be2f36060p+0", "-0x1.f071a332ea598p+3"),  # t = 7.27
+    ("-0x1.59fc89e0c4946p+0", "-0x1.9f9541cdb7d7cp+0"),  # t = 0
+    ("0x1.81c6e9cb505ccp+3", "-0x1.8fbf8eaa4de7bp+1"),  # t = -10.2
+    ("0x1.bd5310fb35b52p+0", "-0x1.c9ea8bf48853ap+1"),  # t = 2.09
+    ("-0x1.8bc8faaaa4822p+0", "-0x1.ea4c3a4daca95p+0"),  # t = 0
+    ("-0x1.3c71982ca651ep+2", "0x1.4e3d7c9349c0cp+1"),  # t = -9.68
+    ("-0x1.489536cce7e1cp+1", "0x1.cac4b385d6b10p+1"),  # t = 10.9
+    ("-0x1.359ddd538f182p+1", "0x1.d05568154374cp+0"),  # t = 0
+]
 
 
 class TestTrajectory:

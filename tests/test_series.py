@@ -151,6 +151,20 @@ class TestArithmetic:
         assert (s / 2).coeffs == (F(1, 2), F(1), F(3, 2))
         assert (s + 1).coeffs == (F(2), F(2), F(3))
 
+    @settings(max_examples=60, deadline=None)
+    @given(a=series_strategy(elements=sparse_rationals),
+           c=st.one_of(st.integers(-6, 6), rationals, st.sampled_from([0.5, -0.125, 3.0, 0.0])))
+    def test_scalar_operations_match_fraction_oracle(self, a, c):
+        # one Fraction operation per coefficient is the oracle
+        exact = F(c)
+        assert (a * c).coeffs == (c * a).coeffs == tuple(v * exact for v in a.coeffs)
+        if exact == 0:
+            with pytest.raises(ZeroDivisionError):
+                a / c
+        else:
+            assert (a / c).coeffs == tuple(v / exact for v in a.coeffs)
+        assert all(type(v) is F for v in (a * c).coeffs)
+
     def test_power(self):
         s = RS.from_coeffs([1, 1, 0, 0])
         assert (s**3).coeffs == (F(1), F(3), F(3), F(1))
