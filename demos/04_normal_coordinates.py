@@ -7,7 +7,7 @@ Run:  python demos/04_normal_coordinates.py
 import math
 
 from pendnf import dynamics as dyn, elliptic as el, normal_form as nf
-from pendnf.dynamics import NormalCoords, PendulumParams, ScaledCoords
+from pendnf.dynamics import NormalCoords, PendulumParams
 from pendnf.elliptic import Modulus
 
 par = PendulumParams(I=1.0, g=1.0)
@@ -54,8 +54,7 @@ print("\n  the hyperbolic sums stay accurate even for extreme splits |p'| >> |q'
 mod = Modulus.from_h(0.5)
 xp = el.nome_from_h(mod)
 for gamma in (1.0, 1e2, 1e4, 1e6):
-    c = ScaledCoords(math.sqrt(xp) / gamma, math.sqrt(xp) * gamma)
-    st = dyn.hyperbolic_state(c, par)
+    st = dyn.hyperbolic_state(math.sqrt(xp) / gamma, math.sqrt(xp) * gamma, par)
     drift = abs(dyn.hamiltonian(st, par) - 2 * par.g**2 * par.I / mod.k**2)
     print(f"    gamma = {gamma:8.0e}:  |H - U| = {drift:.2e}")
 

@@ -35,11 +35,9 @@ from .normal_form import (
     theta_logderiv_check,
 )
 from .dynamics import (
-    FlowFactors,
     NormalCoords,
     PendulumParams,
     PhaseState,
-    ScaledCoords,
     TrajectoryRecord,
     canonical_from_normal,
     closed_form_state,

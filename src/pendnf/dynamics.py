@@ -8,9 +8,10 @@ plain adaptive reference integrator.  Angles are tracked unwrapped, so beta
 grows without bound along librations.
 
 Convention: the expanding direction of the flow is q (and the contracting
-one p), matching the substitutions q' = gamma*sqrt(x'), p' = delta*sqrt(x')
-with gamma = exp(g0 t).  With B(0) > 0 the angle then increases from 0, as
-Hamilton's equations demand.
+one p), matching the substitutions q' = e sqrt(x'), p' = sqrt(x') / e with
+e = exp(g0 t) at the orbit's rate g0(x').  With B(0) > 0 the angle then
+increases from 0, as Hamilton's equations demand.  The chart functions take
+these as plain floats: the nome and the time, or the scaled pair (p', q').
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .elliptic import Modulus
 __all__ = [
     "PendulumParams",
     "PhaseState",
-    "FlowFactors",
-    "ScaledCoords",
     "NormalCoords",
     "TrajectoryRecord",
     "FactorizationReport",
@@ -77,6 +76,12 @@ class PendulumParams:
             raise ValueError(f"inertia moment must be positive, got {self.I}")
         if not self.g > 0:
             raise ValueError(f"gravity rate must be positive, got {self.g}")
+        # the action scale 32 I g and the energy scale 32 I g^2, which every
+        # chart multiplies or divides by
+        if not all(0.0 < s < math.inf for s in (self.action_scale, self.action_scale * self.g)):
+            raise ValueError(
+                f"32*I*g and 32*I*g^2 must be finite and positive, got I = {self.I}, g = {self.g}"
+            )
 
     @property
     def action_scale(self) -> float:
@@ -90,31 +95,6 @@ class PhaseState:
 
     B: float
     beta: float
-
-
-@dataclass(frozen=True)
-class FlowFactors:
-    """Exponential flow factors gamma = exp(g0 t), delta = exp(-g0 t)."""
-
-    gamma: float
-    delta: float
-
-    @classmethod
-    def at_time(cls, g0: float, t: float) -> "FlowFactors":
-        e = math.exp(g0 * t)
-        return cls(gamma=e, delta=1.0 / e)
-
-
-@dataclass(frozen=True)
-class ScaledCoords:
-    """Dimensionless coordinates (p', q') with conserved product x' = p'q'."""
-
-    p_prime: float
-    q_prime: float
-
-    @property
-    def x_prime(self) -> float:
-        return self.p_prime * self.q_prime
 
 
 @dataclass(frozen=True)
@@ -200,55 +180,56 @@ def closed_form_state(t: float, mod: Modulus, par: PendulumParams) -> PhaseState
     return PhaseState(B=B, beta=2.0 * (am + correction))
 
 
-def series_state(flow: FlowFactors, x_prime: float, par: PendulumParams) -> PhaseState:
-    """State from the arctan-resummed nome series.
+def series_state(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
+    """State at time t from the arctan-resummed nome series, on the orbit of
+    nome x' that crosses beta = 0 at t = 0 with B(0) > 0.
 
     B = 4 I g0 sum_m [ za/(1+za^2) + zb/(1+zb^2) ],
     beta = 4 sum_m [ atan(za) - atan(zb) ],
-    with za = x'^m gamma sqrt(x'), zb = x'^m delta sqrt(x'); converges for
-    any flow factors as long as 0 <= x' < 1.
+    with za = x'^m e sqrt(x'), zb = x'^m sqrt(x') / e and e = exp(g0 t) at the
+    rate g0 = g0(x'); converges for any t as long as 0 <= x' < 1.
     """
     if not 0.0 <= x_prime < 1.0:
         raise ValueError(f"series representation needs 0 <= x' < 1, got {x_prime}")
     g0 = elliptic.g0_from_nome(x_prime, par.g)
+    e = math.exp(g0 * t)
     root = math.sqrt(x_prime)
-    s_sum, r_sum = _arctan_sums(flow.delta * root, flow.gamma * root, x_prime)
+    s_sum, r_sum = _arctan_sums((1.0 / e) * root, e * root, x_prime)
     return PhaseState(B=4.0 * par.I * g0 * r_sum, beta=4.0 * s_sum)
 
 
-def series_state_partial_sums(
-    flow: FlowFactors, x_prime: float, par: PendulumParams, terms: int = 80
-) -> PhaseState:
-    """Direct partial sums of the alternating nome series, before the arctan
-    resummation.  Converges only where gamma^2 x' < 1; kept as the
-    cross-check companion of series_state.
+def series_state_partial_sums(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
+    """Direct partial sums (80 terms) of the alternating nome series, before
+    the arctan resummation.  Converges only where exp(2 g0 |t|) x' < 1; kept
+    as the cross-check companion of series_state.
     """
     if not 0.0 < x_prime < 1.0:
         raise ValueError(f"partial sums need 0 < x' < 1, got {x_prime}")
-    if flow.gamma**2 * x_prime >= 1.0 or flow.delta**2 * x_prime >= 1.0:
-        raise ValueError("partial sums diverge unless gamma^2 x' < 1 and delta^2 x' < 1")
     g0 = elliptic.g0_from_nome(x_prime, par.g)
+    gamma = math.exp(g0 * t)
+    delta = 1.0 / gamma
+    if gamma**2 * x_prime >= 1.0 or delta**2 * x_prime >= 1.0:
+        raise ValueError(f"partial sums diverge unless exp(2 g0 |t|) x' < 1, got g0 t = {g0 * t}")
     root = math.sqrt(x_prime)
     r_sum = 0.0
     s_sum = 0.0
-    for n in range(1, terms + 1):
+    for n in range(1, 81):
         sign = -1.0 if n % 2 else 1.0
         xpow = root * x_prime ** (n - 1)          # x'^(n - 1/2)
-        gpow = flow.gamma ** (2 * n - 1)
-        dpow = flow.delta ** (2 * n - 1)
+        gpow = gamma ** (2 * n - 1)
+        dpow = delta ** (2 * n - 1)
         den = 1.0 - x_prime ** (2 * n - 1)
         r_sum += sign * xpow * (gpow + dpow) / den
         s_sum += sign * xpow / den * (gpow - dpow) / (2 * n - 1)
     return PhaseState(B=-4.0 * g0 * par.I * r_sum, beta=-4.0 * s_sum)
 
 
-def hyperbolic_state(coords: ScaledCoords, par: PendulumParams) -> PhaseState:
-    """State from scaled hyperbolic coordinates (p', q'), for |p'q'| < 1.
+def hyperbolic_state(p: float, q: float, par: PendulumParams) -> PhaseState:
+    """State from the scaled hyperbolic coordinates (p', q'), for |p'q'| < 1.
 
     Same sums as series_state but written in (p', q'); valid for either sign
     of the coordinates.  The rate g0 is taken at the conserved product p'q'.
     """
-    p, q = coords.p_prime, coords.q_prime
     x = p * q
     if not abs(x) < 1.0:
         raise ValueError(f"the hyperbolic sums require |p'q'| < 1, got {x}")
@@ -367,7 +348,7 @@ def canonical_from_normal(n: NormalCoords, par: PendulumParams) -> PhaseState:
     """
     x_prime = nome_from_action(n.x, par)
     a = _rescale_factor(x_prime, par)
-    return hyperbolic_state(ScaledCoords(n.p / a, n.q / a), par)
+    return hyperbolic_state(n.p / a, n.q / a, par)
 
 
 def normal_flow(n: NormalCoords, t: float, par: PendulumParams) -> NormalCoords:
@@ -470,8 +451,8 @@ def factorization_check(
     return FactorizationReport(energy_factored=factored, energy_direct=direct, rel_diff=rel)
 
 
-def stable_scaled_state(coords: ScaledCoords, par: PendulumParams) -> PhaseState:
-    """Stable-chart state from scaled coordinates; the amplitude is
+def stable_scaled_state(p: float, q: float, par: PendulumParams) -> PhaseState:
+    """Stable-chart state from the scaled coordinates (p', q'); the amplitude is
     x_s' = p'^2 + q'^2 and the conjugate-pair sums must combine to real
     values (a surviving imaginary part signals a formula error and raises).
 
@@ -479,7 +460,6 @@ def stable_scaled_state(coords: ScaledCoords, par: PendulumParams) -> PhaseState
     hyperbolic chart to imaginary rate turns atan into atanh, which is what
     pairs with the 1 - w^2 momentum denominators and keeps B = I dbeta/dt.
     """
-    p, q = coords.p_prime, coords.q_prime
     xs = p * p + q * q
     if not xs < 1.0:
         raise ValueError(f"stable sums require p'^2 + q'^2 < 1, got {xs}")
@@ -525,9 +505,7 @@ def stable_state(x_s_prime: float, t: float, par: PendulumParams) -> PhaseState:
         raise ValueError(f"amplitude must lie in [0, 1), got {x_s_prime}")
     g0s = elliptic.g0_from_nome(-x_s_prime, par.g)
     root = math.sqrt(x_s_prime)
-    return stable_scaled_state(
-        ScaledCoords(root * math.cos(g0s * t), root * math.sin(g0s * t)), par
-    )
+    return stable_scaled_state(root * math.cos(g0s * t), root * math.sin(g0s * t), par)
 
 
 def rk_oracle(
@@ -577,8 +555,7 @@ def trajectory(
         states = [closed_form_state(t, mod, par) for t in times]
     elif method == "series":
         x_prime = elliptic.nome_from_h(mod)
-        g0 = elliptic.g0_from_nome(x_prime, par.g)
-        states = [series_state(FlowFactors.at_time(g0, t), x_prime, par) for t in times]
+        states = [series_state(x_prime, t, par) for t in times]
     elif method == "normal":
         x_prime = elliptic.nome_from_h(mod)
         a = _rescale_factor(x_prime, par)

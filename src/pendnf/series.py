@@ -7,7 +7,7 @@ never changes previously computed coefficients.
 
 A series stores and exposes its coefficients as fractions.Fraction, so
 identity checks between series are exact, no matter how large the
-coefficients grow.  The kernels behind the products, quotients, powers,
+coefficients grow.  The kernels behind the products, quotients,
 compositions and reversions compute on Python int lists over one common
 denominator: an operation converts its operands once, runs the kernel on
 integers, and converts the result back once, so no gcd runs inside a loop.
@@ -123,20 +123,6 @@ def _compose_lists(f: Sequence[int], g: Sequence[int], order: int) -> list[int]:
     return out
 
 
-def _pow_list(a: Sequence[int], exponent: int, order: int) -> list[int]:
-    # the first set bit assigns the base: no product with the unit series
-    result = None
-    base = list(a)
-    e = exponent
-    while e:
-        if e & 1:
-            result = base if result is None else _mul_lists(result, base, order)
-        e >>= 1
-        if e:
-            base = _mul_lists(base, base, order)
-    return [1] + [0] * order if result is None else result
-
-
 @dataclass(frozen=True)
 class RationalSeries:
     """Power series sum_n coeffs[n] * var^n, exact through var^order."""
@@ -245,12 +231,6 @@ class RationalSeries:
         if c == 0:
             raise ZeroDivisionError("division of a series by zero")
         return self * (1 / c)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series powers must be nonnegative integers")
-        a, den = _ints(self.coeffs)
-        return RationalSeries(_fracs(_pow_list(a, exponent, self.order), den**exponent), self.var)
 
     # -- calculus and composition --------------------------------------------
 

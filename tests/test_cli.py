@@ -86,6 +86,35 @@ class TestExitCodes:
         assert err == (f"pend-nf: error: no finite sample count from t0 = {float(t0)} "
                        f"to t1 = {float(t1)} in steps dt = {float(dt)}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["trajectory", "--method", "closed", "--h", "0.3", "--t1", "0.02", "--dt", "0.01",
+         "--I", "1e300", "--g", "1e10"],
+        ["map", "--p", "0.3", "--q", "0.2", "--I", "1e308", "--g", "1e308"],
+        ["verify", "--suite", "dynamics", "--I", "1e300", "--g", "1e10"],
+        ["map", "--p", "0.3", "--q", "0.2", "--I", "1e-200", "--g", "1e-200"],
+        ["map", "--p", "0.3", "--q", "0.2", "--I", "1e-300", "--g", "1e-20"],
+    ])
+    def test_overflowing_physical_scales_are_two(self, capsys, argv):
+        # 32 I g or 32 I g^2 is not a finite positive float
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        I, g = float(argv[argv.index("--I") + 1]), float(argv[argv.index("--g") + 1])
+        assert out == ""
+        assert err == (f"pend-nf: error: 32*I*g and 32*I*g^2 must be finite and positive, "
+                       f"got I = {I}, g = {g}\n")
+
+    def test_unwritable_output_is_two_without_traceback(self, tmp_path):
+        target = tmp_path / "missing" / "x"
+        result = subprocess.run(
+            [sys.executable, "-m", "pendnf.cli", "coeffs", "--series", "g0", "--order", "3",
+             "--output", str(target)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"pend-nf: error: cannot write {target}: No such file or directory\n"
+        assert "Traceback" not in result.stderr
+
     def test_tolerance_override_pass(self, capsys):
         assert run_cli(["verify", "--suite", "legendre", "--tol", "1e-12"]) == 0
         assert "1.000e-12" in capsys.readouterr().out
@@ -114,6 +143,25 @@ class TestVerify:
             assert capsys.readouterr().out == out
         assert "exact to order 150" in outputs[0]
         assert "x^12 + O(x^13)" in outputs[1]
+
+    def test_tol_overrides_only_the_float_tolerances(self, capsys):
+        fixed = {"jacobi_periodicity": 1e-10, "factorization_gamma_independent": 1e-10,
+                 "stable_small_amplitude_frequency": 1e-6}
+        # the exact identities and the sign checks compare against 0
+        zero = {"g0_at_least_g", "nome_monotonic", "rescaling_identity", "theta_logderiv",
+                "stable_hyperbolic_energy_relation"}
+        for tol in (1e-30, 1e-3):
+            run_cli(["verify", "--suite", "all", "--order", "12", "--tol", str(tol)])
+            lines = capsys.readouterr().out.splitlines()[:-1]
+            bounds = {line.split()[1].rstrip(":"): float(line.split()[6]) for line in lines}
+            assert len(bounds) == 20
+            for name, bound in bounds.items():
+                if name in zero:
+                    assert bound == 0.0, name
+                elif name == "jacobi_periodicity":
+                    assert bound == max(tol, 1e-10)
+                else:
+                    assert bound == fixed.get(name, tol), name
 
     def test_summary_line(self, capsys):
         run_cli(["verify", "--suite", "legendre"])

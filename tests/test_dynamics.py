@@ -7,18 +7,13 @@ import hashlib
 import io
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from pendnf import cli, dynamics as dyn, elliptic as el, normal_form as nf
-from pendnf.dynamics import (
-    FlowFactors,
-    NormalCoords,
-    PendulumParams,
-    PhaseState,
-    ScaledCoords,
-)
+from pendnf.dynamics import NormalCoords, PendulumParams, PhaseState
 from pendnf.elliptic import Modulus
 
 
@@ -80,20 +75,19 @@ class TestClosedForm:
 class TestSeriesState:
     def test_symmetric_point_has_zero_angle(self, par):
         for x in (0.0, 0.05, 0.3):
-            s = dyn.series_state(FlowFactors(1.0, 1.0), x, par)
+            s = dyn.series_state(x, 0.0, par)
             assert s.beta == 0.0
 
     def test_symmetric_point_momentum(self, par):
         mod = Modulus.from_h(0.3)
         x = el.nome_from_h(mod)
-        s = dyn.series_state(FlowFactors(1.0, 1.0), x, par)
+        s = dyn.series_state(x, 0.0, par)
         assert s.B == pytest.approx(2 * par.I * par.g / mod.k, abs=1e-10)
 
     def test_swap_symmetry(self, par):
-        f = FlowFactors(1.7, 0.4)
-        swapped = FlowFactors(0.4, 1.7)
-        a = dyn.series_state(f, 0.2, par)
-        b = dyn.series_state(swapped, 0.2, par)
+        # reversing time swaps the contracting and the expanding coordinate
+        a = dyn.series_state(0.2, 0.6, par)
+        b = dyn.series_state(0.2, -0.6, par)
         assert a.beta == pytest.approx(-b.beta, rel=1e-14)
         assert a.B == pytest.approx(b.B, rel=1e-14)
 
@@ -102,10 +96,9 @@ class TestSeriesState:
             mod = Modulus.from_h(h)
             x = el.nome_from_h(mod)
             assert x <= 0.2
-            g0 = el.g0_from_nome(x, par.g)
             for t in np.linspace(0.0, 5.0 / par.g, 26):
                 c = dyn.closed_form_state(float(t), mod, par)
-                s = dyn.series_state(FlowFactors.at_time(g0, float(t)), x, par)
+                s = dyn.series_state(x, float(t), par)
                 assert abs(c.beta - s.beta) < 1e-10
                 assert abs(c.B - s.B) / (par.I * par.g) < 1e-10
 
@@ -114,52 +107,74 @@ class TestSeriesState:
         x = el.nome_from_h(mod)
         g0 = el.g0_from_nome(x, par.g)
         for t in (0.0, 0.4, 1.1, 2.0):
-            f = FlowFactors.at_time(g0, t)
-            if f.gamma**2 * x >= 1.0:
+            if math.exp(g0 * t) ** 2 * x >= 1.0:
                 continue
-            a = dyn.series_state(f, x, par)
-            b = dyn.series_state_partial_sums(f, x, par)
+            a = dyn.series_state(x, t, par)
+            b = dyn.series_state_partial_sums(x, t, par)
             assert abs(a.B - b.B) < 1e-11
             assert abs(a.beta - b.beta) < 1e-11
 
     def test_partial_sums_domain(self, par):
+        # exp(g0 t) = 10, so exp(2 g0 t) x' = 30
+        t = math.log(10.0) / el.g0_from_nome(0.3, par.g)
         with pytest.raises(ValueError):
-            dyn.series_state_partial_sums(FlowFactors(10.0, 0.1), 0.3, par)
+            dyn.series_state_partial_sums(0.3, t, par)
 
     def test_domain(self, par):
         with pytest.raises(ValueError):
-            dyn.series_state(FlowFactors(1.0, 1.0), 1.0, par)
+            dyn.series_state(1.0, 0.0, par)
+
+    def test_matches_caller_side_flow_factors(self):
+        # bit for bit against the path where each caller formed g0 and the
+        # flow factors gamma = exp(g0 t), delta = 1/gamma and passed them in
+        rng = random.Random(9001)
+        for i in range(5000):
+            par = PendulumParams(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
+            x = (0.0, rng.uniform(0.0, 1e-6), rng.uniform(0.0, 0.5), rng.uniform(0.5, 0.95))[i % 4]
+            # g0 t spans [-20, 20]: e^20 sqrt(x') is far outside the unit disk
+            t = 0.0 if i % 7 == 0 else rng.uniform(-20.0, 20.0) / el.g0_from_nome(x, par.g)
+            got = dyn.series_state(x, t, par)
+            want = _series_state_from_flow_factors(x, t, par)
+            assert (got.B.hex(), got.beta.hex()) == (want.B.hex(), want.beta.hex())
+
+
+def _series_state_from_flow_factors(x_prime, t, par):
+    g0 = el.g0_from_nome(x_prime, par.g)
+    e = math.exp(g0 * t)
+    gamma, delta = e, 1.0 / e
+    root = math.sqrt(x_prime)
+    s_sum, r_sum = dyn._arctan_sums(delta * root, gamma * root, x_prime)
+    return PhaseState(B=4.0 * par.I * el.g0_from_nome(x_prime, par.g) * r_sum, beta=4.0 * s_sum)
 
 
 class TestHyperbolicState:
     def test_origin_is_equilibrium(self, par):
-        s = dyn.hyperbolic_state(ScaledCoords(0.0, 0.0), par)
+        s = dyn.hyperbolic_state(0.0, 0.0, par)
         assert (s.B, s.beta) == (0.0, 0.0)
 
     def test_swap_antisymmetry(self, par):
-        a = dyn.hyperbolic_state(ScaledCoords(0.3, 0.5), par)
-        b = dyn.hyperbolic_state(ScaledCoords(0.5, 0.3), par)
+        a = dyn.hyperbolic_state(0.3, 0.5, par)
+        b = dyn.hyperbolic_state(0.5, 0.3, par)
         assert a.beta == pytest.approx(-b.beta, rel=1e-14)
         assert a.B == pytest.approx(b.B, rel=1e-14)
 
     def test_consistent_with_flow_factors(self, par):
         mod = Modulus.from_h(0.5)
         x = el.nome_from_h(mod)
-        g0 = el.g0_from_nome(x, par.g)
-        f = FlowFactors.at_time(g0, 0.8)
+        e = math.exp(el.g0_from_nome(x, par.g) * 0.8)
         root = math.sqrt(x)
-        a = dyn.series_state(f, x, par)
-        b = dyn.hyperbolic_state(ScaledCoords(f.delta * root, f.gamma * root), par)
+        a = dyn.series_state(x, 0.8, par)
+        b = dyn.hyperbolic_state((1.0 / e) * root, e * root, par)
         assert a.B == pytest.approx(b.B, abs=1e-12)
         assert a.beta == pytest.approx(b.beta, abs=1e-12)
 
     def test_negative_product_allowed(self, par):
-        s = dyn.hyperbolic_state(ScaledCoords(-0.2, 0.3), par)
+        s = dyn.hyperbolic_state(-0.2, 0.3, par)
         assert math.isfinite(s.B) and math.isfinite(s.beta)
 
     def test_divergent_product_rejected(self, par):
         with pytest.raises(ValueError):
-            dyn.hyperbolic_state(ScaledCoords(1.2, 0.9), par)
+            dyn.hyperbolic_state(1.2, 0.9, par)
 
 
 class TestCanonicalMap:
@@ -364,7 +379,7 @@ class TestJacobianDeterminant:
         step = 1e-5 * a0
 
         def naive(p, q):
-            return dyn.hyperbolic_state(ScaledCoords(p / a0, q / a0), par)
+            return dyn.hyperbolic_state(p / a0, q / a0, par)
 
         p, q = 0.8, 0.7
         dB_dp = (naive(p + step, q).B - naive(p - step, q).B) / (2 * step)
@@ -427,9 +442,9 @@ class TestStableChart:
             eps = 1e-6
 
             def s_at(p, q):
-                return dyn.stable_scaled_state(ScaledCoords(p, q), par).beta
+                return dyn.stable_scaled_state(p, q, par).beta
 
-            lhs = dyn.stable_scaled_state(ScaledCoords(pp, qq), par).B
+            lhs = dyn.stable_scaled_state(pp, qq, par).B
             rhs = g0s * par.I * (
                 pp * (s_at(pp, qq + eps) - s_at(pp, qq - eps)) / (2 * eps)
                 - qq * (s_at(pp + eps, qq) - s_at(pp - eps, qq)) / (2 * eps)
@@ -464,13 +479,13 @@ class TestStableChart:
 
     def test_pole_detection(self, par):
         with pytest.raises(ValueError):
-            dyn.stable_scaled_state(ScaledCoords(0.99999999999, 0.0), par)
+            dyn.stable_scaled_state(0.99999999999, 0.0, par)
 
     def test_domain(self, par):
         with pytest.raises(ValueError):
             dyn.stable_state(1.0, 0.0, par)
         with pytest.raises(ValueError):
-            dyn.stable_scaled_state(ScaledCoords(0.8, 0.7), par)
+            dyn.stable_scaled_state(0.8, 0.7, par)
 
 
 class TestReferenceIntegrator:
@@ -556,6 +571,17 @@ class TestParams:
             PendulumParams(I=0.0, g=1.0)
         with pytest.raises(ValueError):
             PendulumParams(I=1.0, g=-2.0)
+
+    @pytest.mark.parametrize("I, g", [(1e300, 1e10), (1e308, 1e308), (1e-200, 1e-200),
+                                      (1e150, 1e150), (1e-100, 1e-120), (math.inf, 1.0)])
+    def test_scales_must_be_finite_and_positive(self, I, g):
+        # 32 I g or 32 I g^2 overflows or underflows to 0
+        with pytest.raises(ValueError, match=re.escape(f"got I = {I}, g = {g}") + "$"):
+            PendulumParams(I=I, g=g)
+
+    def test_extreme_but_representable_scales(self):
+        par = PendulumParams(I=1e150, g=1e-150)
+        assert par.action_scale == 32.0 * 1e150 * 1e-150
 
     def test_action_scale(self, par_phys):
         assert par_phys.action_scale == 32.0 * 2.5 * 0.7
