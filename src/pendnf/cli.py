@@ -311,7 +311,6 @@ def _suite_stable(order: int, tol: float | None, par: PendulumParams) -> list[Ch
 
     freq_tol = 1e-6
     amp = 1e-7
-    g0s = elliptic.g0_from_nome(-amp, par.g)
     lo, hi = 0.9 * math.pi / par.g, 1.1 * math.pi / par.g
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -343,21 +342,11 @@ def _suite_stable(order: int, tol: float | None, par: PendulumParams) -> list[Ch
 
 def run_verify(args: argparse.Namespace) -> int:
     par = PendulumParams(I=args.I, g=args.g)
-    # built per call, so a rebound _suite_* name (the benchmark tracer's) runs
-    suites = {
-        "elliptic": _suite_elliptic,
-        "legendre": _suite_legendre,
-        "identity51": _suite_identity51,
-        "theta": _suite_theta,
-        "factorization": _suite_factorization,
-        "jacobian": _suite_jacobian,
-        "dynamics": _suite_dynamics,
-        "stable": _suite_stable,
-    }
-    names = sorted(suites) if args.suite == "all" else [args.suite]
+    names = SUITES[1:] if args.suite == "all" else [args.suite]
     results: list[CheckResult] = []
     for name in names:
-        results.extend(suites[name](args.order, args.tol, par))
+        # looked up per call, so a rebound _suite_* name (the benchmark tracer's) runs
+        results.extend(globals()[f"_suite_{name}"](args.order, args.tol, par))
     results.sort(key=lambda r: r.name)
     lines = [r.line() for r in results]
     passed = all(r.passed for r in results)

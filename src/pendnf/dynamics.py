@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.integrate import solve_ivp
@@ -62,6 +63,8 @@ _TERM_RTOL = 1e-15
 _TAIL_EPS = 1e-16
 _MAX_TERMS = 10_000
 _POLE_EPS = 1e-9
+# the largest |y| with exp(y) and 1 / exp(-|y|) finite
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -143,23 +146,20 @@ def hamiltonian(state: PhaseState, par: PendulumParams) -> float:
 
 
 def energy_from_nome(x_prime: float, par: PendulumParams) -> float:
-    """Libration energy from the nome: 32 I g^2 x' prod((1+x'^2n)/(1-x'^(2n-1)))^8."""
-    if not 0.0 <= x_prime < 1.0:
-        raise ValueError(f"nome must lie in [0, 1), got {x_prime}")
-    return par.action_scale * par.g * x_prime * _energy_product(x_prime, -1.0)
-
-
-def _energy_product(xs: float, sign: float) -> float:
-    """prod_n ((1 + xs^(2n)) / (1 + sign xs^(2n-1)))^8 for 0 <= xs < 1: the
-    libration energy product with sign -1, the oscillation one with +1."""
+    """Energy 32 I g^2 x' prod((1+x'^2n)/(1-x'^(2n-1)))^8 of the signed nome,
+    |x'| < 1: librations for x' >= 0, oscillations below the separatrix for x' < 0."""
+    if not -1.0 < x_prime < 1.0:
+        raise ValueError(f"nome must satisfy |x'| < 1, got {x_prime}")
     prod = 1.0
-    odd = xs                             # xs^(2n-1)
-    for _ in range(1, _MAX_TERMS):
-        prod *= ((1.0 + odd * xs) / (1.0 + sign * odd)) ** 8
-        odd *= xs * xs
-        if odd < _TAIL_EPS:
+    odd = x_prime                        # x'^(2n-1)
+    for _ in range(_MAX_TERMS):
+        prod *= ((1.0 + odd * x_prime) / (1.0 - odd)) ** 8
+        odd *= x_prime * x_prime
+        if abs(odd) < _TAIL_EPS:
             break
-    return prod
+    else:
+        raise RuntimeError("energy product did not converge")
+    return par.action_scale * par.g * x_prime * prod
 
 
 def closed_form_state(t: float, mod: Modulus, par: PendulumParams) -> PhaseState:
@@ -188,10 +188,23 @@ def series_state(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
     beta = 4 sum_m [ atan(za) - atan(zb) ],
     with za = x'^m e sqrt(x'), zb = x'^m sqrt(x') / e and e = exp(g0 t) at the
     rate g0 = g0(x'); converges for any t as long as 0 <= x' < 1.
+
+    e -> e / x' shifts the sums by a term: the period is T = ln(1/x') / g0,
+    over which beta gains 2 pi, so where exp(g0 |t|) would overflow, t is
+    first reduced by whole periods.
     """
     if not 0.0 <= x_prime < 1.0:
         raise ValueError(f"series representation needs 0 <= x' < 1, got {x_prime}")
+    if x_prime == 0.0:
+        return PhaseState(B=0.0, beta=0.0)
     g0 = elliptic.g0_from_nome(x_prime, par.g)
+    if abs(g0 * t) > _LOG_FLOAT_MAX:
+        period = -math.log(x_prime) / g0
+        reduced = math.fmod(t, period)
+        reduced -= period * round(reduced / period)
+        state = series_state(x_prime, reduced, par)
+        turns = round((t - reduced) / period)
+        return PhaseState(B=state.B, beta=state.beta + 2.0 * math.pi * turns)
     e = math.exp(g0 * t)
     root = math.sqrt(x_prime)
     s_sum, r_sum = _arctan_sums((1.0 / e) * root, e * root, x_prime)
@@ -335,10 +348,7 @@ def action_from_nome(x_prime: float, par: PendulumParams) -> float:
 
 
 def _rescale_factor(x_prime: float, par: PendulumParams) -> float:
-    a2 = par.action_scale * _rescale_sq(x_prime)[0]
-    if a2 <= 0.0:
-        raise ArithmeticError(f"squared rescale became nonpositive at x' = {x_prime}")
-    return math.sqrt(a2)
+    return math.sqrt(par.action_scale * _rescale_sq(x_prime)[0])
 
 
 def canonical_from_normal(n: NormalCoords, par: PendulumParams) -> PhaseState:
@@ -389,12 +399,7 @@ def normal_energy(x: float, par: PendulumParams) -> float:
     phase-area factor on the negative axis; the composed route works on the
     whole invertible domain.
     """
-    x_prime = nome_from_action(x, par)
-    if x_prime >= 0.0:
-        return energy_from_nome(x_prime, par)
-    # oscillation side: same product with alternating signs
-    xs = -x_prime
-    return -par.action_scale * par.g * xs * _energy_product(xs, 1.0)
+    return energy_from_nome(nome_from_action(x, par), par)
 
 
 def normal_energy_slope(x_prime: float, par: PendulumParams) -> tuple[float, float]:
@@ -452,32 +457,28 @@ def factorization_check(
 
 
 def stable_scaled_state(p: float, q: float, par: PendulumParams) -> PhaseState:
-    """Stable-chart state from the scaled coordinates (p', q'); the amplitude is
-    x_s' = p'^2 + q'^2 and the conjugate-pair sums must combine to real
-    values (a surviving imaginary part signals a formula error and raises).
-
-    The angle sum carries the inverse hyperbolic tangent: rotating the
-    hyperbolic chart to imaginary rate turns atan into atanh, which is what
-    pairs with the 1 - w^2 momentum denominators and keeps B = I dbeta/dt.
+    """Stable-chart state from the scaled coordinates (p', q'), amplitude
+    x_s' = p'^2 + q'^2 < 1: the hyperbolic chart at imaginary rate, which turns
+    atan into atanh and keeps B = I dbeta/dt.  Its alternating sums run over
+    the conjugate pairs of w = x_s'^m (p' + i q'), whose imaginary parts cancel,
+    so each pair adds 2 Im atanh(w) and 2 Re w/(1 - w^2): only w is evaluated.
     """
     xs = p * p + q * q
     if not xs < 1.0:
         raise ValueError(f"stable sums require p'^2 + q'^2 < 1, got {xs}")
     w0 = complex(p, q)
-    s_sum = 0 + 0j
-    r_sum = 0 + 0j
+    s_sum = 0.0
+    r_sum = 0.0
     rho_pow = 1.0
     sign = 1.0
     for _ in range(_MAX_TERMS):
         w = rho_pow * w0
-        wc = w.conjugate()
-        for den in (1.0 - w * w, 1.0 - wc * wc):
-            if abs(den) < _POLE_EPS:
-                raise ValueError(
-                    f"stable sum too close to a pole (|1 - w^2| = {abs(den):.2e})"
-                )
-        s_sum += sign * (cmath.atanh(w) - cmath.atanh(wc))
-        r_sum += sign * (w / (1.0 - w * w) + wc / (1.0 - wc * wc))
+        den = 1.0 - w * w
+        # |1 - conj(w)^2| = |1 - w^2|, so one test covers the pair
+        if abs(den) < _POLE_EPS:
+            raise ValueError(f"stable sum too close to a pole (|1 - w^2| = {abs(den):.2e})")
+        s_sum += sign * 2.0 * cmath.atanh(w).imag
+        r_sum += sign * 2.0 * (w / den).real
         rho_pow *= xs
         sign = -sign
         if rho_pow * abs(w0) < _TERM_RTOL * (1.0 + abs(s_sum) + abs(r_sum)):
@@ -485,15 +486,8 @@ def stable_scaled_state(p: float, q: float, par: PendulumParams) -> PhaseState:
     else:
         raise RuntimeError("stable sums did not converge within the term cap")
     g0s = elliptic.g0_from_nome(-xs, par.g)
-    s_val = 4j * s_sum
-    r_val = -4.0 * par.I * g0s * r_sum
-    scale = max(1.0, abs(s_val), abs(r_val))
-    if abs(s_val.imag) > 1e-12 * scale or abs(r_val.imag) > 1e-12 * scale:
-        raise ArithmeticError(
-            "conjugate-pair sums left a non-cancelling imaginary part "
-            f"({s_val.imag:.2e}, {r_val.imag:.2e})"
-        )
-    return PhaseState(B=r_val.real, beta=s_val.real)
+    # 0.0 - ... keeps an angle of zero at +0.0
+    return PhaseState(B=-4.0 * par.I * g0s * r_sum, beta=0.0 - 4.0 * s_sum)
 
 
 def stable_state(x_s_prime: float, t: float, par: PendulumParams) -> PhaseState:

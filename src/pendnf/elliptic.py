@@ -77,8 +77,6 @@ class Modulus:
     def from_k(cls, k: float) -> "Modulus":
         if not k > 0.0:
             raise ValueError(f"k must be positive, got {k}")
-        if math.isinf(k):
-            return cls(0.0, 1.0, math.inf)
         if k > 1.0:
             r = 1.0 / k
             h_prime = 1.0 / math.sqrt(1.0 + r * r)
@@ -150,8 +148,6 @@ def jacobi_elliptic(u: float, m: float) -> tuple[float, float, float, float]:
         raise ValueError(f"modulus must lie in [0, 1), got {m}")
     if not math.isfinite(u):
         raise ValueError(f"argument must be finite, got {u}")
-    if m == 0.0:
-        return u, math.sin(u), math.cos(u), 1.0
 
     a_prev, b_prev = 1.0, math.sqrt((1.0 - m) * (1.0 + m))
     a_list = [1.0]
@@ -164,7 +160,7 @@ def jacobi_elliptic(u: float, m: float) -> tuple[float, float, float, float]:
         a_prev, b_prev = a_list[-1], math.sqrt(a_prev * b_prev)
     n = len(a_list) - 1
     if n == 0:
-        # m below AGM resolution: trigonometric values are already exact here
+        # m = 0 or below AGM resolution: trigonometric values are already exact here
         sn, cn = math.sin(u), math.cos(u)
         return u, sn, cn, math.hypot(b_prev, m * cn)
 

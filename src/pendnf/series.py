@@ -139,11 +139,11 @@ class RationalSeries:
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Coeff], var: str = "x") -> "RationalSeries":
-        return cls(tuple(_rat(c) for c in coeffs), var)
+        return cls(tuple(coeffs), var)
 
     @classmethod
     def constant(cls, value: Coeff, order: int, var: str = "x") -> "RationalSeries":
-        return cls((_rat(value),) + (_ZERO,) * order, var)
+        return cls((value,) + (_ZERO,) * order, var)
 
     @classmethod
     def identity(cls, order: int, var: str = "x") -> "RationalSeries":
@@ -284,15 +284,11 @@ class RationalSeries:
     # -- evaluation and serialization ------------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction arguments, float otherwise."""
-        if isinstance(x, Fraction) or isinstance(x, int):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        acc = 0.0
+        """Horner evaluation; exact for Fraction and int arguments.  For a float
+        x, Fraction + float rounds each coefficient to a float first."""
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+            acc = c + acc * x
         return acc
 
     def to_json_obj(self) -> dict:

@@ -2,6 +2,7 @@
 determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -244,6 +245,19 @@ class TestTrajectory:
         assert run_cli(args + ["--output", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
         assert b"\r" not in f1.read_bytes()
+
+
+    @pytest.mark.parametrize("orbit", [
+        ["--h", "0.3", "--t0", "800", "--t1", "801"],
+        ["--h", "0.3", "--t0", "-801", "--t1", "-800"],
+        ["--h", "0", "--t0", "800", "--t1", "801"],
+    ])
+    def test_series_far_from_t0(self, capsys, orbit):
+        # |g0 t| past the float range of exp(g0 t)
+        assert run_cli(["trajectory", "--method", "series", *orbit, "--dt", "1"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(v)) for row in rows for v in row[:4])
 
 
 class TestMap:

@@ -2,12 +2,14 @@
 other and with the adaptive reference integrator; the canonical map must be
 area preserving and energy consistent."""
 
+import cmath
 import contextlib
 import hashlib
 import io
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +138,60 @@ class TestSeriesState:
             got = dyn.series_state(x, t, par)
             want = _series_state_from_flow_factors(x, t, par)
             assert (got.B.hex(), got.beta.hex()) == (want.B.hex(), want.beta.hex())
+
+    @pytest.mark.parametrize("h", [0.3, 0.9])
+    @pytest.mark.parametrize("t0", [800.0, -800.0, 1e5, -1e5])
+    def test_long_times_keep_the_energy(self, h, t0, par, par_phys):
+        # |g0 t| past the float range of exp(g0 t): the chart reduces t by
+        # whole periods, and every sample stays on the orbit's energy surface
+        # to the closed_vs_series tolerance
+        mod = Modulus.from_h(h)
+        for params in (par, par_phys):
+            energy = 2.0 * params.g**2 * params.I / mod.k**2
+            records = dyn.trajectory("series", mod, params, t0, t0 + 1.0, 0.5)
+            assert len(records) == 3
+            for r in records:
+                assert abs(r.energy - energy) / energy <= 1e-10
+
+    @pytest.mark.parametrize("t", [800.0, -800.0, 1e5, -1e5, 3e7])
+    def test_long_times_shift_by_whole_periods(self, t, par_phys):
+        # B(t) = B(t - kT) and beta(t) = beta(t - kT) + 2 pi k for the
+        # period T = ln(1/x') / g0, with t - kT inside the unshifted range
+        for h in (0.3, 0.9):
+            x = el.nome_from_h(Modulus.from_h(h))
+            g0 = el.g0_from_nome(x, par_phys.g)
+            period = math.log(1.0 / x) / g0
+            k = round(t / period)
+            assert abs(g0 * (t - k * period)) < 10.0
+            got = dyn.series_state(x, t, par_phys)
+            want = _series_state_from_flow_factors(x, t - k * period, par_phys)
+            assert abs(got.B - want.B) <= 1e-9 * par_phys.I * par_phys.g
+            assert abs(got.beta - (want.beta + 2.0 * math.pi * k)) <= 1e-9 * max(1.0, abs(got.beta))
+
+    def test_inside_the_float_range_unchanged(self, par):
+        # up to the largest |g0 t| with exp(g0 t) and 1/exp(-|g0 t|) finite,
+        # no period is taken off
+        bound = math.log(sys.float_info.max)
+        for h in (0.3, 0.9):
+            x = el.nome_from_h(Modulus.from_h(h))
+            g0 = el.g0_from_nome(x, par.g)
+            for gt in (700.0, -700.0, bound, -bound):
+                t = gt / g0
+                if abs(g0 * t) > bound:
+                    t = math.nextafter(t, 0.0)
+                got = dyn.series_state(x, t, par)
+                want = _series_state_from_flow_factors(x, t, par)
+                assert (got.B.hex(), got.beta.hex()) == (want.B.hex(), want.beta.hex())
+            # one step past the bound the old path fails; the chart does not
+            t = math.nextafter(bound / g0, math.inf)
+            with pytest.raises(OverflowError):
+                _series_state_from_flow_factors(x, t, par)
+            assert all(math.isfinite(v) for v in vars(dyn.series_state(x, t, par)).values())
+
+    def test_zero_nome_is_the_equilibrium_at_any_time(self, par):
+        for t in (0.0, 1.0, 800.0, -801.0, 1e300, -1e300):
+            s = dyn.series_state(0.0, t, par)
+            assert (s.B.hex(), s.beta.hex()) == ((0.0).hex(), (0.0).hex())
 
 
 def _series_state_from_flow_factors(x_prime, t, par):
@@ -486,6 +542,147 @@ class TestStableChart:
             dyn.stable_state(1.0, 0.0, par)
         with pytest.raises(ValueError):
             dyn.stable_scaled_state(0.8, 0.7, par)
+
+    def test_matches_conjugate_pair_sums(self):
+        # bit for bit, or the same error type, against the path that summed
+        # both members of every conjugate pair in complex arithmetic: axis
+        # points, signed zeros, radii down to 1e-200, points next to the
+        # poles and outside the disk
+        rng = random.Random(10_007)
+        for i in range(20_000):
+            par = SCAN_PARAMS[i % 3]
+            p, q = _stable_scan_point(rng, i)
+            got = _outcome_state(dyn.stable_scaled_state, p, q, par)
+            assert got == _outcome_state(_stable_scaled_state_conjugate_pairs, p, q, par)
+        for p, q in ((1.0 - 4.9e-10, 0.0), (-1.0 + 5.1e-10, 1e-12), (0.0, 1.0 - 5e-10)):
+            got = _outcome_state(dyn.stable_scaled_state, p, q, SCAN_PARAMS[0])
+            assert got == _outcome_state(_stable_scaled_state_conjugate_pairs, p, q, SCAN_PARAMS[0])
+
+
+def _stable_scan_point(rng, i):
+    kind = i % 8
+    if kind == 0:
+        r = math.sqrt(rng.uniform(0.0, 0.99))
+        return rng.choice((r, -r, 0.0, -0.0)), rng.choice((0.0, -0.0))
+    if kind == 1:
+        r = math.sqrt(rng.uniform(0.0, 0.99))
+        return rng.choice((0.0, -0.0)), rng.choice((r, -r))
+    if kind == 2:
+        r, a = 10 ** rng.uniform(-200, 0), rng.uniform(-math.pi, math.pi)
+        return r * math.cos(a), r * math.sin(a)
+    if kind == 3:
+        # |1 - w^2| just below the pole threshold at w = +-1 (beyond it the
+        # sums run to the term cap, as the boundary cases below do)
+        return rng.choice((1.0, -1.0)) * (1.0 - 10 ** rng.uniform(-13, -9.31)), rng.uniform(-1e-10, 1e-10)
+    if kind == 4:
+        return rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
+    r, a = math.sqrt(rng.uniform(0.0, 0.9)), rng.uniform(-math.pi, math.pi)
+    return r * math.cos(a), r * math.sin(a)
+
+
+def _outcome_state(fn, *args):
+    try:
+        s = fn(*args)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return type(exc).__name__
+    return s.B.hex(), s.beta.hex()
+
+
+def _stable_scaled_state_conjugate_pairs(p, q, par):
+    """The stable chart as it summed each conjugate pair w, conj(w) in
+    complex arithmetic and checked the imaginary parts cancelled."""
+    xs = p * p + q * q
+    if not xs < 1.0:
+        raise ValueError(f"stable sums require p'^2 + q'^2 < 1, got {xs}")
+    w0 = complex(p, q)
+    s_sum = 0 + 0j
+    r_sum = 0 + 0j
+    rho_pow = 1.0
+    sign = 1.0
+    for _ in range(dyn._MAX_TERMS):
+        w = rho_pow * w0
+        wc = w.conjugate()
+        for den in (1.0 - w * w, 1.0 - wc * wc):
+            if abs(den) < dyn._POLE_EPS:
+                raise ValueError("stable sum too close to a pole")
+        s_sum += sign * (cmath.atanh(w) - cmath.atanh(wc))
+        r_sum += sign * (w / (1.0 - w * w) + wc / (1.0 - wc * wc))
+        rho_pow *= xs
+        sign = -sign
+        if rho_pow * abs(w0) < dyn._TERM_RTOL * (1.0 + abs(s_sum) + abs(r_sum)):
+            break
+    else:
+        raise RuntimeError("stable sums did not converge within the term cap")
+    g0s = el.g0_from_nome(-xs, par.g)
+    s_val = 4j * s_sum
+    r_val = -4.0 * par.I * g0s * r_sum
+    scale = max(1.0, abs(s_val), abs(r_val))
+    if abs(s_val.imag) > 1e-12 * scale or abs(r_val.imag) > 1e-12 * scale:
+        raise ArithmeticError("conjugate-pair sums left a non-cancelling imaginary part")
+    return PhaseState(B=r_val.real, beta=s_val.real)
+
+
+class TestSignedNomeEnergy:
+    def test_normal_energy_matches_the_two_branch_form(self):
+        # bit for bit, or the same error type, against the form that took
+        # the libration product for x' >= 0 and a separate oscillation
+        # product with a sign flag for x' < 0
+        rng = random.Random(10_009)
+        for i in range(20_000):
+            par = SCAN_PARAMS[i % 3]
+            kind = i % 5
+            if kind == 0:
+                x = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-300, -3) * par.action_scale
+            elif kind == 1:
+                x = rng.choice((0.0, -0.0))
+            elif kind == 2:
+                # out past the negative saturation and the positive bound
+                x = rng.uniform(-0.2, 0.4) * par.action_scale
+            else:
+                x = dyn.action_from_nome(rng.uniform(-0.5, 0.5), par)
+            got = _outcome_hex(dyn.normal_energy, x, par)
+            assert got == _outcome_hex(_normal_energy_two_branch, x, par)
+
+    def test_negative_nome_matches_the_oscillation_product(self):
+        rng = random.Random(10_011)
+        for i in range(20_000):
+            par = SCAN_PARAMS[i % 3]
+            xs = 10 ** rng.uniform(-300, 0) * 0.998 if i % 2 else rng.uniform(0.0, 0.998)
+            want = -par.action_scale * par.g * xs * _energy_product_with_sign(xs, 1.0)
+            assert dyn.energy_from_nome(-xs, par).hex() == want.hex()
+        assert dyn.energy_from_nome(-0.0, PendulumParams(1.0, 1.0)).hex() == (-0.0).hex()
+
+    def test_product_cap_raises(self, par):
+        # the oscillation energy tends to -2 I g^2; 10,000 factors do not
+        # reach the tail bound this close to |x'| = 1, and a truncated
+        # product would be far off
+        with pytest.raises(RuntimeError, match="energy product did not converge"):
+            dyn.energy_from_nome(-0.9999, par)
+        assert dyn.energy_from_nome(-0.99, par) == pytest.approx(-2.0 * par.I * par.g**2, rel=1e-12)
+
+    def test_domain(self, par):
+        for x in (1.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                dyn.energy_from_nome(x, par)
+
+
+def _energy_product_with_sign(xs, sign):
+    prod = 1.0
+    odd = xs
+    for _ in range(1, dyn._MAX_TERMS):
+        prod *= ((1.0 + odd * xs) / (1.0 + sign * odd)) ** 8
+        odd *= xs * xs
+        if odd < dyn._TAIL_EPS:
+            break
+    return prod
+
+
+def _normal_energy_two_branch(x, par):
+    x_prime = dyn.nome_from_action(x, par)
+    if x_prime >= 0.0:
+        return par.action_scale * par.g * x_prime * _energy_product_with_sign(x_prime, -1.0)
+    xs = -x_prime
+    return -par.action_scale * par.g * xs * _energy_product_with_sign(xs, 1.0)
 
 
 class TestReferenceIntegrator:
