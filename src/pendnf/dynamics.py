@@ -38,7 +38,6 @@ __all__ = [
     "energy_from_nome",
     "closed_form_state",
     "series_state",
-    "series_state_partial_sums",
     "hyperbolic_state",
     "nome_from_action",
     "action_from_nome",
@@ -211,32 +210,6 @@ def series_state(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
     return PhaseState(B=4.0 * par.I * g0 * r_sum, beta=4.0 * s_sum)
 
 
-def series_state_partial_sums(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
-    """Direct partial sums (80 terms) of the alternating nome series, before
-    the arctan resummation.  Converges only where exp(2 g0 |t|) x' < 1; kept
-    as the cross-check companion of series_state.
-    """
-    if not 0.0 < x_prime < 1.0:
-        raise ValueError(f"partial sums need 0 < x' < 1, got {x_prime}")
-    g0 = elliptic.g0_from_nome(x_prime, par.g)
-    gamma = math.exp(g0 * t)
-    delta = 1.0 / gamma
-    if gamma**2 * x_prime >= 1.0 or delta**2 * x_prime >= 1.0:
-        raise ValueError(f"partial sums diverge unless exp(2 g0 |t|) x' < 1, got g0 t = {g0 * t}")
-    root = math.sqrt(x_prime)
-    r_sum = 0.0
-    s_sum = 0.0
-    for n in range(1, 81):
-        sign = -1.0 if n % 2 else 1.0
-        xpow = root * x_prime ** (n - 1)          # x'^(n - 1/2)
-        gpow = gamma ** (2 * n - 1)
-        dpow = delta ** (2 * n - 1)
-        den = 1.0 - x_prime ** (2 * n - 1)
-        r_sum += sign * xpow * (gpow + dpow) / den
-        s_sum += sign * xpow / den * (gpow - dpow) / (2 * n - 1)
-    return PhaseState(B=-4.0 * g0 * par.I * r_sum, beta=-4.0 * s_sum)
-
-
 def hyperbolic_state(p: float, q: float, par: PendulumParams) -> PhaseState:
     """State from the scaled hyperbolic coordinates (p', q'), for |p'q'| < 1.
 
@@ -347,7 +320,11 @@ def action_from_nome(x_prime: float, par: PendulumParams) -> float:
     return par.action_scale * (x_prime * _rescale_sq(x_prime)[0])
 
 
+@functools.lru_cache(maxsize=8)
 def _rescale_factor(x_prime: float, par: PendulumParams) -> float:
+    """The rescale a(x') = sqrt(32 I g a^2(x')), cached on (x', par) for the
+    last 8 pairs: a normal trajectory asks for the same few nomes at every
+    sample, and a cache hit returns the same bits."""
     return math.sqrt(par.action_scale * _rescale_sq(x_prime)[0])
 
 
@@ -579,8 +556,11 @@ def _rk_batch(
     if times[-1] == 0.0:
         return [state0] * len(times)
 
+    I = par.I
+    igg = par.I * par.g**2
+
     def rhs(_t, y):
-        return [y[1] / par.I, par.I * par.g**2 * math.sin(y[0])]
+        return [y[1] / I, igg * math.sin(y[0])]
 
     sol = solve_ivp(
         rhs,

@@ -9,11 +9,16 @@ smooth limit h -> 0 (where k diverges but nothing else does).
 
 K and E use the arithmetic-geometric mean, sn/cn/dn the descending Landen
 transformation; both converge quadratically and reach machine precision in
-at most ~10 iterations.  All functions are pure.
+at most ~10 iterations.  Every function returns a value determined by its
+arguments alone.  Two keep small bounded caches of what one orbit asks for
+again and again (the Landen scales of a modulus, the g0 product of a nome);
+a cache hit returns the same bits as a fresh evaluation, and an input that
+raises is never cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -137,40 +142,51 @@ def complete_e(m: float) -> float:
     return math.pi / (2.0 * a) * (1.0 - total)
 
 
+@functools.lru_cache(maxsize=8)
+def _landen_scales(m: float) -> tuple[float, tuple[float, ...], float]:
+    """The descending Landen scales of modulus m in [0, 1): the last AGM
+    mean a_n, the ratios c_i / a_i in descent order i = n, ..., 1, and the
+    last b.  Cached on m for the last 8 moduli (a trajectory asks for one).
+    """
+    a, b, c = 1.0, math.sqrt((1.0 - m) * (1.0 + m)), m
+    ratios = []
+    for _ in range(_AGM_MAX_ITER):
+        if c <= _AGM_RTOL * a:
+            break
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        ratios.append(c / a)
+    return a, tuple(reversed(ratios)), b
+
+
 def jacobi_elliptic(u: float, m: float) -> tuple[float, float, float, float]:
     """Jacobi functions (am, sn, cn, dn) at argument u, modulus m in [0, 1).
 
-    Descending Landen transformation: build the AGM scales, seed the phase in
-    the trigonometric regime and fold it back down.  The amplitude comes out
-    unwrapped, am(u + 4K) = am(u) + 2 pi, which is what trajectory code needs.
+    Descending Landen transformation: take the AGM scales of m (cached per
+    modulus by _landen_scales, the same bits as recomputing them), seed the
+    phase in the trigonometric regime and fold it back down.  The amplitude
+    comes out unwrapped, am(u + 4K) = am(u) + 2 pi, which is what trajectory
+    code needs.
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {m}")
     if not math.isfinite(u):
         raise ValueError(f"argument must be finite, got {u}")
 
-    a_prev, b_prev = 1.0, math.sqrt((1.0 - m) * (1.0 + m))
-    a_list = [1.0]
-    c_list = [m]
-    for _ in range(_AGM_MAX_ITER):
-        if c_list[-1] <= _AGM_RTOL * a_list[-1]:
-            break
-        a_list.append(0.5 * (a_prev + b_prev))
-        c_list.append(0.5 * (a_prev - b_prev))
-        a_prev, b_prev = a_list[-1], math.sqrt(a_prev * b_prev)
-    n = len(a_list) - 1
-    if n == 0:
+    a_n, ratios, b = _landen_scales(m)
+    if not ratios:
         # m = 0 or below AGM resolution: trigonometric values are already exact here
         sn, cn = math.sin(u), math.cos(u)
-        return u, sn, cn, math.hypot(b_prev, m * cn)
+        return u, sn, cn, math.hypot(b, m * cn)
 
-    phi = math.ldexp(a_list[n] * u, n)
-    phi_one = phi
-    for i in range(n, 0, -1):
-        s = c_list[i] / a_list[i] * math.sin(phi)
-        s = max(-1.0, min(1.0, s))
-        if i == 1:
-            phi_one = phi
+    phi = math.ldexp(a_n * u, len(ratios))
+    for ratio in ratios:
+        phi_one = phi
+        # rounding can push |s| past 1; s is never NaN, as u is finite
+        s = ratio * math.sin(phi)
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
         phi = 0.5 * (phi + math.asin(s))
     am = phi
     sn = math.sin(am)
@@ -247,9 +263,18 @@ def g0_from_nome(x_prime: float, g: float = 1.0) -> float:
     """g0 from the nome alone, by the quadratic infinite product
     g0 = g prod_n ((1 + x'^n)/(1 - x'^n))^2; valid for |x'| < 1 of either
     sign (negative arguments serve the stable chart).
+
+    The product is cached on x' (and its type) for the last 16 nomes, so
+    the few nomes one orbit visits are multiplied out once; g multiplies
+    the cached product exactly as it multiplies a fresh one.
     """
     if not -1.0 < x_prime < 1.0:
         raise ValueError(f"nome must satisfy |x'| < 1, got {x_prime}")
+    return g * _g0_product(x_prime)
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _g0_product(x_prime: float) -> float:
     prod = 1.0
     xn = 1.0
     for _ in range(_MAX_PRODUCT_TERMS):
@@ -260,7 +285,7 @@ def g0_from_nome(x_prime: float, g: float = 1.0) -> float:
         prod *= f * f
     else:
         raise RuntimeError("g0 product did not converge")
-    return g * prod
+    return prod
 
 
 def legendre_defect(mod: Modulus) -> float:

@@ -43,7 +43,6 @@ __all__ = [
     "stable_bundle",
     "rescaling_identity_check",
     "theta_logderiv_check",
-    "integer_coefficients_start",
     "alternating_signs_hold",
 ]
 
@@ -228,11 +227,6 @@ def theta_logderiv_check(order: int) -> IdentityReport:
         ):
             return IdentityReport(passed=False, order=order, first_mismatch=n)
     return IdentityReport(passed=True, order=order)
-
-
-def integer_coefficients_start(s: RationalSeries, start: int = 0) -> bool:
-    """True when every coefficient from `start` on is a positive integer."""
-    return all(c.denominator == 1 and c > 0 for c in s.coeffs[start:])
 
 
 def alternating_signs_hold(order: int = 50) -> bool:

@@ -13,6 +13,8 @@ from pendnf import dynamics as dyn, elliptic as el, normal_form as nf
 from pendnf.dynamics import NormalCoords, PendulumParams, PhaseState
 from pendnf.elliptic import Modulus
 
+from helpers import integer_coefficients_start
+
 PAR = PendulumParams(I=1.0, g=1.0)
 
 
@@ -74,9 +76,9 @@ def test_criterion_4_series_leading_terms_and_integrality():
     I, g = F(3), F(5)
     physical = d.coeffs[0] * 32 * I * g == 480 and u.coeffs[1] * 32 * I * g * g == 2400
     integral = (
-        nf.integer_coefficients_start(g0)
-        and nf.integer_coefficients_start(u, start=1)
-        and nf.integer_coefficients_start(d)
+        integer_coefficients_start(g0)
+        and integer_coefficients_start(u, start=1)
+        and integer_coefficients_start(d)
     )
     report(
         4,

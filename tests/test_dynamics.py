@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from pendnf import cli, dynamics as dyn, elliptic as el, normal_form as nf
 from pendnf.dynamics import NormalCoords, PendulumParams, PhaseState
@@ -112,7 +113,7 @@ class TestSeriesState:
             if math.exp(g0 * t) ** 2 * x >= 1.0:
                 continue
             a = dyn.series_state(x, t, par)
-            b = dyn.series_state_partial_sums(x, t, par)
+            b = series_state_partial_sums(x, t, par)
             assert abs(a.B - b.B) < 1e-11
             assert abs(a.beta - b.beta) < 1e-11
 
@@ -120,7 +121,7 @@ class TestSeriesState:
         # exp(g0 t) = 10, so exp(2 g0 t) x' = 30
         t = math.log(10.0) / el.g0_from_nome(0.3, par.g)
         with pytest.raises(ValueError):
-            dyn.series_state_partial_sums(0.3, t, par)
+            series_state_partial_sums(0.3, t, par)
 
     def test_domain(self, par):
         with pytest.raises(ValueError):
@@ -192,6 +193,32 @@ class TestSeriesState:
         for t in (0.0, 1.0, 800.0, -801.0, 1e300, -1e300):
             s = dyn.series_state(0.0, t, par)
             assert (s.B.hex(), s.beta.hex()) == ((0.0).hex(), (0.0).hex())
+
+
+def series_state_partial_sums(x_prime, t, par):
+    """Direct partial sums (80 terms) of the alternating nome series, before
+    the arctan resummation.  Converges only where exp(2 g0 |t|) x' < 1; the
+    cross-check companion of series_state.
+    """
+    if not 0.0 < x_prime < 1.0:
+        raise ValueError(f"partial sums need 0 < x' < 1, got {x_prime}")
+    g0 = el.g0_from_nome(x_prime, par.g)
+    gamma = math.exp(g0 * t)
+    delta = 1.0 / gamma
+    if gamma**2 * x_prime >= 1.0 or delta**2 * x_prime >= 1.0:
+        raise ValueError(f"partial sums diverge unless exp(2 g0 |t|) x' < 1, got g0 t = {g0 * t}")
+    root = math.sqrt(x_prime)
+    r_sum = 0.0
+    s_sum = 0.0
+    for n in range(1, 81):
+        sign = -1.0 if n % 2 else 1.0
+        xpow = root * x_prime ** (n - 1)          # x'^(n - 1/2)
+        gpow = gamma ** (2 * n - 1)
+        dpow = delta ** (2 * n - 1)
+        den = 1.0 - x_prime ** (2 * n - 1)
+        r_sum += sign * xpow * (gpow + dpow) / den
+        s_sum += sign * xpow / den * (gpow - dpow) / (2 * n - 1)
+    return PhaseState(B=-4.0 * g0 * par.I * r_sum, beta=-4.0 * s_sum)
 
 
 def _series_state_from_flow_factors(x_prime, t, par):
@@ -972,3 +999,82 @@ class TestNomeCache:
         assert info.hits + info.misses == 2002
         assert info.misses < len(recs)
         assert info.currsize <= 2
+
+
+ORBITS = ((1e-8, "unit", 0.0), (1e-3, "b", 2.5), (0.05, "unit", 2.5), (0.3, "b", 0.0),
+          (0.6, "unit", 0.0), (0.9, "b", 2.5), (0.97, "unit", 2.5), (0.99, "b", 0.0))
+
+
+def _trajectories_digest(method: str) -> str:
+    lines = []
+    for h, which, t0 in ORBITS:
+        recs = dyn.trajectory(method, Modulus.from_h(h), PARAMS[which], t0, t0 + 10.0, 0.01)
+        lines += [f"{r.t!r} {r.B!r} {r.beta!r} {r.energy!r}" for r in recs]
+    return _sha(lines)
+
+
+def _rk_batch_per_call_constants(state0, par, times, tol):
+    """_rk_batch with the right-hand side reading I and I g^2 off par at
+    every call, as it did before they were bound once."""
+    def rhs(_t, y):
+        return [y[1] / par.I, par.I * par.g**2 * math.sin(y[0])]
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), [state0.beta, state0.B], method="DOP853",
+                    rtol=tol, atol=tol * max(1.0, par.I * par.g), t_eval=times)
+    return [PhaseState(B=B, beta=beta) for beta, B in sol.y.T]
+
+
+class TestOrbitCaches:
+    """The per-orbit invariants (g0, a(x'), the Landen scales) are computed
+    once per orbit, and every trajectory keeps its bits."""
+
+    # SHA-256 of the 8 orbits' 1001-sample records, recorded before the
+    # caches went in
+    DIGESTS = {
+        "closed": "73dbc7c22920366b0cbf39b227fe7fdab674c06cff3476f9ce764bb9b4f2aefa",
+        "series": "babfae8930cfdbf906c5c09114665e20a75e2be0c8c67086b37d6a8462ab3df2",
+        "normal": "b66b7252f8261d5dece50fb7b78e0a2c4506a9376f1100926830aa6a8addac94",
+    }
+
+    @pytest.mark.parametrize("method", sorted(DIGESTS))
+    def test_trajectory_bytes(self, method):
+        el._landen_scales.cache_clear()
+        el._g0_product.cache_clear()
+        dyn._rescale_factor.cache_clear()
+        assert _trajectories_digest(method) == self.DIGESTS[method]
+        # and again from warm caches
+        assert _trajectories_digest(method) == self.DIGESTS[method]
+
+    def test_rk_bytes(self):
+        # DOP853's last bits belong to the installed scipy and numpy, so the
+        # reference trajectory is compared in-process, not against a digest
+        for h, which, t0 in ORBITS:
+            par = PARAMS[which]
+            mod = Modulus.from_h(h)
+            times = dyn._time_grid(t0, t0 + 10.0, 0.01)
+            start = PhaseState(B=2.0 * par.I * par.g / mod.k, beta=0.0)
+            got = dyn.trajectory("rk", mod, par, t0, t0 + 10.0, 0.01)
+            want = _rk_batch_per_call_constants(start, par, times, 1e-10)
+            assert [(r.B.hex(), r.beta.hex()) for r in got] == [
+                (s.B.hex(), s.beta.hex()) for s in want]
+
+    @pytest.mark.parametrize("h", [1e-8, 0.01, 0.3, 0.9, 0.99])
+    def test_normal_trajectory_misses(self, h, par):
+        # the flowed action takes a few rounded values along one orbit, and
+        # p'q' a few more: each is computed once, not once per sample
+        el._g0_product.cache_clear()
+        dyn._rescale_factor.cache_clear()
+        recs = dyn.trajectory("normal", Modulus.from_h(h), par, 0.0, 10.0, 0.01)
+        assert len(recs) == 1001
+        g0 = el._g0_product.cache_info()
+        assert g0.misses <= 8 and g0.hits + g0.misses == 2002
+        rescale = dyn._rescale_factor.cache_info()
+        assert rescale.misses <= 4 and rescale.hits + rescale.misses == 1002
+
+    def test_rescale_cache_bounded(self, par):
+        info = dyn._rescale_factor.cache_info()
+        assert info.maxsize == 8
+        for i in range(1000):
+            dyn._rescale_factor(i / 2000.0, par)
+            assert dyn._rescale_factor.cache_info().currsize <= 8
+        assert dyn._rescale_factor.cache_info().currsize == 8

@@ -3,6 +3,7 @@ domain errors."""
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -287,3 +288,140 @@ class TestLegendre:
     def test_domain(self):
         with pytest.raises(ValueError):
             el.legendre_defect(Modulus.from_h(0.0))
+
+
+def _jacobi_elliptic_uncached(u, m):
+    """jacobi_elliptic as it was before the Landen scales were cached: the
+    scales rebuilt on every call, the clamp written with max/min."""
+    if not 0.0 <= m < 1.0:
+        raise ValueError(f"modulus must lie in [0, 1), got {m}")
+    if not math.isfinite(u):
+        raise ValueError(f"argument must be finite, got {u}")
+    a_prev, b_prev = 1.0, math.sqrt((1.0 - m) * (1.0 + m))
+    a_list = [1.0]
+    c_list = [m]
+    for _ in range(el._AGM_MAX_ITER):
+        if c_list[-1] <= el._AGM_RTOL * a_list[-1]:
+            break
+        a_list.append(0.5 * (a_prev + b_prev))
+        c_list.append(0.5 * (a_prev - b_prev))
+        a_prev, b_prev = a_list[-1], math.sqrt(a_prev * b_prev)
+    n = len(a_list) - 1
+    if n == 0:
+        sn, cn = math.sin(u), math.cos(u)
+        return u, sn, cn, math.hypot(b_prev, m * cn)
+    phi = math.ldexp(a_list[n] * u, n)
+    phi_one = phi
+    for i in range(n, 0, -1):
+        s = c_list[i] / a_list[i] * math.sin(phi)
+        s = max(-1.0, min(1.0, s))
+        if i == 1:
+            phi_one = phi
+        phi = 0.5 * (phi + math.asin(s))
+    am = phi
+    sn = math.sin(am)
+    cn = math.cos(am)
+    if abs(cn) >= 0.25:
+        dn = cn / math.cos(phi_one - am)
+    else:
+        dn = math.hypot(math.sqrt((1.0 - m) * (1.0 + m)), m * cn)
+    return am, sn, cn, dn
+
+
+def _g0_from_nome_uncached(x_prime, g=1.0):
+    """g0_from_nome as it was before the product was cached."""
+    if not -1.0 < x_prime < 1.0:
+        raise ValueError(f"nome must satisfy |x'| < 1, got {x_prime}")
+    prod = 1.0
+    xn = 1.0
+    for _ in range(10_000):
+        xn *= x_prime
+        if abs(xn) < 1e-18:
+            break
+        f = (1.0 + xn) / (1.0 - xn)
+        prod *= f * f
+    else:
+        raise RuntimeError("g0 product did not converge")
+    return g * prod
+
+
+def _outcome_bits(fn, *args):
+    """The result as (type, float hex) per value, or the error raised."""
+    try:
+        result = fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    values = result if isinstance(result, tuple) else (result,)
+    return tuple((type(v).__name__, float(v).hex()) for v in values)
+
+
+class TestKernelCaches:
+    """The cached kernels give the bits of a fresh evaluation, hold at most
+    their stated number of entries, and never cache an error."""
+
+    EDGE_MODULI = (0.0, -0.0, 5e-324, 1e-16, 1e-15, 2e-15, 0.5, 1.0 - 2.0**-53, 0, 1.0, math.nan)
+
+    def test_jacobi_bits_match_uncached(self):
+        rng = random.Random(11)
+        # 12 recurring moduli, drawn at random, against a cache of 8: entries
+        # are evicted and recomputed, and hits come from every position
+        pool = [rng.random() for _ in range(12)]
+        before = el._landen_scales.cache_info()
+        for i in range(12_000):
+            if i % 5 == 0:
+                m = self.EDGE_MODULI[i // 5 % len(self.EDGE_MODULI)]
+            elif i % 5 == 1:
+                m = rng.random()
+            else:
+                m = rng.choice(pool)
+            u = (0.0, -0.0, 3, rng.uniform(-10.0, 10.0), rng.uniform(-1e8, 1e8),
+                 rng.uniform(-1e-300, 1e-300), math.inf)[i % 7]
+            args = (u, m)
+            assert _outcome_bits(el.jacobi_elliptic, *args) == _outcome_bits(
+                _jacobi_elliptic_uncached, *args), args
+        after = el._landen_scales.cache_info()
+        assert after.hits - before.hits > 1000
+        assert after.misses - before.misses > 1000
+
+    def test_g0_bits_match_uncached(self):
+        rng = random.Random(12)
+        pool = [rng.uniform(-0.9, 0.9) for _ in range(24)]
+        edges = (0.0, -0.0, 0, False, 5e-324, -5e-324, 0.5, -0.5, np.float64(0.3), 0.3,
+                 np.float64(0.0), 0.9999, 1.0, math.nan)
+        before = el._g0_product.cache_info()
+        for i in range(12_000):
+            if i % 4 == 0:
+                x = edges[i // 4 % len(edges)]
+            elif i % 4 == 1:
+                x = rng.uniform(-0.99, 0.99)
+            else:
+                x = rng.choice(pool)
+            g = (1.0, 1, 2, 0.0, -0.0, rng.uniform(0.01, 100.0), np.float64(0.7))[i % 7]
+            args = (x, g)
+            assert _outcome_bits(el.g0_from_nome, *args) == _outcome_bits(
+                _g0_from_nome_uncached, *args), args
+        after = el._g0_product.cache_info()
+        assert after.hits - before.hits > 1000
+        assert after.misses - before.misses > 1000
+
+    @pytest.mark.parametrize("cache,bound,call", [
+        (el._landen_scales, 8, lambda i: el.jacobi_elliptic(1.0, i / 1000.0)),
+        (el._g0_product, 16, lambda i: el.g0_from_nome(i / 2000.0, 1.0)),
+    ])
+    def test_size_stays_bounded(self, cache, bound, call):
+        assert cache.cache_info().maxsize == bound
+        for i in range(1000):
+            call(i)
+            assert cache.cache_info().currsize <= bound
+        assert cache.cache_info().currsize == bound
+
+    def test_error_is_not_cached(self):
+        # past |x'| = 0.9959 the product cannot reach its stop test
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="g0 product did not converge"):
+                el.g0_from_nome(0.9999)
+        el._g0_product.cache_clear()
+        with pytest.raises(RuntimeError):
+            el.g0_from_nome(-0.9999, 2.0)
+        info = el._g0_product.cache_info()
+        assert (info.currsize, info.misses) == (0, 1)

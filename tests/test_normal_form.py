@@ -17,6 +17,8 @@ from pendnf import elliptic as el, normal_form as nf
 from pendnf.elliptic import Modulus
 from pendnf.series import RationalSeries, product_series
 
+from helpers import integer_coefficients_start
+
 
 class TestRateSeries:
     def test_leading_coefficients(self):
@@ -54,7 +56,7 @@ class TestEnergySeries:
 
     def test_positive_integers_low_order(self):
         s = nf.energy_series(30)
-        assert nf.integer_coefficients_start(s, start=1)
+        assert integer_coefficients_start(s, start=1)
 
     def test_kernel_round_trip(self):
         # series energy at x' = 0.05 against 2 g^2 I / k^2 with h from the
@@ -74,7 +76,7 @@ class TestJacobianSeries:
         assert nf.jacobian_series(5).coeffs[0] == 1
 
     def test_positive_integers_low_order(self):
-        assert nf.integer_coefficients_start(nf.jacobian_series(30))
+        assert integer_coefficients_start(nf.jacobian_series(30))
 
     def test_finite_difference_oracle(self):
         # D = (dU/dx')/g0 from kernel-route float evaluations at x' = 0.03
@@ -214,9 +216,9 @@ class TestThetaLogDeriv:
 
 class TestIntegerCoefficients:
     def test_to_order_200(self):
-        assert nf.integer_coefficients_start(nf.g0_series(200))
-        assert nf.integer_coefficients_start(nf.energy_series(200), start=1)
-        assert nf.integer_coefficients_start(nf.jacobian_series(200))
+        assert integer_coefficients_start(nf.g0_series(200))
+        assert integer_coefficients_start(nf.energy_series(200), start=1)
+        assert integer_coefficients_start(nf.jacobian_series(200))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
