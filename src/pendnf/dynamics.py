@@ -20,6 +20,7 @@ import cmath
 import functools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from scipy.integrate import solve_ivp
@@ -62,8 +63,9 @@ _TERM_RTOL = 1e-15
 _TAIL_EPS = 1e-16
 _MAX_TERMS = 10_000
 _POLE_EPS = 1e-9
-# the largest |y| with exp(y) and 1 / exp(-|y|) finite
+# the logs of the largest float and of the least normal one
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ def energy_from_nome(x_prime: float, par: PendulumParams) -> float:
         if abs(odd) < _TAIL_EPS:
             break
     else:
-        raise RuntimeError("energy product did not converge")
+        raise RuntimeError(f"energy product did not converge at x' = {x_prime}")
     return par.action_scale * par.g * x_prime * prod
 
 
@@ -186,11 +188,8 @@ def series_state(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
     B = 4 I g0 sum_m [ za/(1+za^2) + zb/(1+zb^2) ],
     beta = 4 sum_m [ atan(za) - atan(zb) ],
     with za = x'^m e sqrt(x'), zb = x'^m sqrt(x') / e and e = exp(g0 t) at the
-    rate g0 = g0(x'); converges for any t as long as 0 <= x' < 1.
-
-    e -> e / x' shifts the sums by a term: the period is T = ln(1/x') / g0,
-    over which beta gains 2 pi, so where exp(g0 |t|) would overflow, t is
-    first reduced by whole periods.
+    rate g0 = g0(x'); converges for any t as long as 0 <= x' < 1.  Where
+    exp(g0 |t|) would overflow, whole periods come off t first.
     """
     if not 0.0 <= x_prime < 1.0:
         raise ValueError(f"series representation needs 0 <= x' < 1, got {x_prime}")
@@ -198,16 +197,23 @@ def series_state(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
         return PhaseState(B=0.0, beta=0.0)
     g0 = elliptic.g0_from_nome(x_prime, par.g)
     if abs(g0 * t) > _LOG_FLOAT_MAX:
-        period = -math.log(x_prime) / g0
-        reduced = math.fmod(t, period)
-        reduced -= period * round(reduced / period)
-        state = series_state(x_prime, reduced, par)
-        turns = round((t - reduced) / period)
-        return PhaseState(B=state.B, beta=state.beta + 2.0 * math.pi * turns)
+        return _whole_periods(lambda s: series_state(x_prime, s, par), x_prime, g0, t)
     e = math.exp(g0 * t)
     root = math.sqrt(x_prime)
     s_sum, r_sum = _arctan_sums((1.0 / e) * root, e * root, x_prime)
     return PhaseState(B=4.0 * par.I * g0 * r_sum, beta=4.0 * s_sum)
+
+
+def _whole_periods(chart: Callable, x_prime: float, g0: float, t: float) -> PhaseState:
+    """The state chart(t) of an exponential chart of nome x' and rate g0, from
+    chart(s) at s = t less whole periods T = ln(1/x') / g0, |s| <= T / 2: over
+    a period e -> e / x' shifts the sums by a term and beta gains 2 pi."""
+    period = -math.log(x_prime) / g0
+    reduced = math.fmod(t, period)
+    reduced -= period * round(reduced / period)
+    state = chart(reduced)
+    turns = round((t - reduced) / period)
+    return PhaseState(B=state.B, beta=state.beta + 2.0 * math.pi * turns)
 
 
 def hyperbolic_state(p: float, q: float, par: PendulumParams) -> PhaseState:
@@ -264,7 +270,13 @@ def _rescale_sq(y: float) -> tuple[float, float]:
     return acc, slope
 
 
-@functools.lru_cache(maxsize=2)
+@functools.cache
+def _action_range() -> tuple[float, float]:
+    """The normalized actions y a^2(y) at y = -_NOME_BOUND and _NOME_BOUND."""
+    return tuple(y * _rescale_sq(y)[0] for y in (-_NOME_BOUND, _NOME_BOUND))
+
+
+@functools.lru_cache(maxsize=4)
 def nome_from_action(x: float, par: PendulumParams) -> float:
     """Invert the map x = x' a^2(x') for the nome on |x'| <= 0.5, by
     safeguarded Newton (absolute tolerance 1e-14 on x').  The polynomial
@@ -272,41 +284,32 @@ def nome_from_action(x: float, par: PendulumParams) -> float:
     truncated a^2 series.
 
     Results are cached on (x, par), so a map query that needs the nome for
-    x', the phase state and the normal energy solves once.  The cache holds
-    two entries: a normal trajectory alternates between the start action
-    and the flowed one, which the rounding of (p/e)(q e) can move off it.
-    An action that raises is not cached and raises again on every call.
+    x', the phase state and the normal energy solves once.  The rounding of
+    (p/e)(q e) moves a normal trajectory's action through 3-4 values, so the
+    cache holds four: a 1001-sample orbit (h in [1e-8, 0.99]) solves 2-4
+    times, up to 146 with two entries.  An error is not cached.
     """
     if not math.isfinite(x):
         raise ValueError(f"action x = p q must be finite, got {x}")
     target = x / par.action_scale
-
-    def f_and_slope(y: float) -> tuple[float, float]:
-        a2, slope = _rescale_sq(y)
-        return y * a2 - target, slope
-
     if target == 0.0:
         return 0.0
-    # bracket the root: y a^2(y) is increasing on [-_NOME_BOUND, _NOME_BOUND],
-    # its slope nowhere below 6.5e-4 (the least is near y = -0.454), so the
-    # end of the range on the target's side and 0 bracket any root in range
-    if target > 0.0:
-        lo, hi = 0.0, min(target, _NOME_BOUND)
-        outside = f_and_slope(hi)[0] < 0.0
-    else:
-        lo, hi = -_NOME_BOUND, 0.0
-        outside = f_and_slope(lo)[0] > 0.0
-    if outside:
+    # y a^2(y) is increasing on [-_NOME_BOUND, _NOME_BOUND], its slope nowhere
+    # below 6.5e-4 (the least is near y = -0.454), so a target between the
+    # ends has one root, bracketed by 0 and the end on the target's side
+    low, high = _action_range()
+    if not low <= target <= high:
         raise ValueError(f"action {x} is outside the invertible range (|x'| <= {_NOME_BOUND})")
+    lo, hi = (0.0, _NOME_BOUND) if target > 0.0 else (-_NOME_BOUND, 0.0)
     y = min(max(target, lo), hi)
     for _ in range(200):
-        val, slope = f_and_slope(y)
+        a2, slope = _rescale_sq(y)
+        val = y * a2 - target
         if val > 0.0:
             hi = y
         else:
             lo = y
-        step = -val / slope if slope != 0.0 else math.nan
-        y_new = y + step
+        y_new = y - val / slope
         if not lo <= y_new <= hi:
             y_new = 0.5 * (lo + hi)
         if abs(y_new - y) <= 1e-14 * max(1.0, abs(y_new)):
@@ -425,9 +428,7 @@ def factorization_check(
     u_p, v_p = _lattice_sums(x_prime, p)
     u_q, v_q = _lattice_sums(x_prime, q)
     g0 = elliptic.g0_from_nome(x_prime, par.g)
-    factored = (
-        32.0 * par.I * g0 * g0 * (p * u_p + q * v_q) * (p * v_p + q * u_q)
-    )
+    factored = 32.0 * par.I * g0 * g0 * (p * u_p + q * v_q) * (p * v_p + q * u_q)
     direct = energy_from_nome(x_prime, par)
     rel = abs(factored - direct) / abs(direct)
     return FactorizationReport(energy_factored=factored, energy_direct=direct, rel_diff=rel)
@@ -439,6 +440,8 @@ def stable_scaled_state(p: float, q: float, par: PendulumParams) -> PhaseState:
     atan into atanh and keeps B = I dbeta/dt.  Its alternating sums run over
     the conjugate pairs of w = x_s'^m (p' + i q'), whose imaginary parts cancel,
     so each pair adds 2 Im atanh(w) and 2 Re w/(1 - w^2): only w is evaluated.
+    The rate's product converges for x_s' below about 0.99586 (measured); past
+    it, a RuntimeError names the nome.
     """
     xs = p * p + q * q
     if not xs < 1.0:
@@ -471,6 +474,7 @@ def stable_state(x_s_prime: float, t: float, par: PendulumParams) -> PhaseState:
     """Small-oscillation state at time t for amplitude x_s': the scaled
     coordinates rotate at the rate g0_s, p' = sqrt(x_s') cos(g0_s t) and
     q' = sqrt(x_s') sin(g0_s t).  The params' rate g plays the stable g_s.
+    Works for x_s' below about 0.99586, as stable_scaled_state.
     """
     if not 0.0 <= x_s_prime < 1.0:
         raise ValueError(f"amplitude must lie in [0, 1), got {x_s_prime}")
@@ -531,7 +535,17 @@ def trajectory(
         x_prime = elliptic.nome_from_h(mod)
         a = _rescale_factor(x_prime, par)
         start = NormalCoords(a * math.sqrt(x_prime), a * math.sqrt(x_prime))
-        states = [canonical_from_normal(normal_flow(start, t, par), par) for t in times]
+        # the nome and rate normal_flow takes; the flowed coordinates
+        # start.p / e and start.q e stay normal floats while g0 |t| <= limit
+        flow_nome = nome_from_action(start.x, par)
+        g0 = elliptic.g0_from_nome(flow_nome, par.g)
+        limit = -_LOG_FLOAT_MIN - abs(math.log(start.p)) if start.p else math.inf
+
+        def state(t: float) -> PhaseState:
+            return canonical_from_normal(normal_flow(start, t, par), par)
+
+        states = [state(t) if abs(g0 * t) <= limit else _whole_periods(state, flow_nome, g0, t)
+                  for t in times]
     elif method == "rk":
         start = PhaseState(B=2.0 * par.I * par.g / mod.k, beta=0.0)
         states = _rk_batch(start, par, times, tol)
@@ -562,15 +576,8 @@ def _rk_batch(
     def rhs(_t, y):
         return [y[1] / I, igg * math.sin(y[0])]
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, times[-1]),
-        [state0.beta, state0.B],
-        method="DOP853",
-        rtol=tol,
-        atol=tol * max(1.0, par.I * par.g),
-        t_eval=times,
-    )
+    sol = solve_ivp(rhs, (0.0, times[-1]), [state0.beta, state0.B], method="DOP853",
+                    rtol=tol, atol=tol * max(1.0, par.I * par.g), t_eval=times)
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")
     return [PhaseState(B=B, beta=beta) for beta, B in sol.y.T]

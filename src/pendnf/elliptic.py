@@ -99,10 +99,10 @@ class Modulus:
         return cls.from_k(g * math.sqrt(2.0 * inertia / energy))
 
 
-def _agm(m: float, with_sum: bool) -> tuple[float, float, float]:
+def _agm(m: float) -> tuple[float, float, float]:
     """The AGM of 1 and sqrt(1 - m^2), stopped once |a - b| reaches a few
     ulp: the last (a, b) and the sum sum_n 2^(n-1) c_n^2 over the
-    half-differences, c_0 = m (only E needs it; with_sum=False keeps n = 0).
+    half-differences, c_0 = m, which only E reads.
     """
     a, b = 1.0, math.sqrt((1.0 - m) * (1.0 + m))
     total = 0.5 * m * m
@@ -110,9 +110,8 @@ def _agm(m: float, with_sum: bool) -> tuple[float, float, float]:
     for _ in range(_AGM_MAX_ITER):
         if abs(a - b) <= _AGM_RTOL * a:
             break
-        if with_sum:
-            scale *= 2.0
-            total += scale * (a - b) * (a - b)
+        scale *= 2.0
+        total += scale * (a - b) * (a - b)
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return a, b, total
 
@@ -124,7 +123,7 @@ def complete_k(m: float) -> float:
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {m}")
-    a, b, _ = _agm(m, with_sum=False)
+    a, b, _ = _agm(m)
     return math.pi / (2.0 * (0.5 * (a + b)))
 
 
@@ -138,7 +137,7 @@ def complete_e(m: float) -> float:
         raise ValueError(f"modulus must lie in [0, 1], got {m}")
     if m == 1.0:
         return 1.0
-    a, _, total = _agm(m, with_sum=True)
+    a, _, total = _agm(m)
     return math.pi / (2.0 * a) * (1.0 - total)
 
 
@@ -181,13 +180,8 @@ def jacobi_elliptic(u: float, m: float) -> tuple[float, float, float, float]:
     phi = math.ldexp(a_n * u, len(ratios))
     for ratio in ratios:
         phi_one = phi
-        # rounding can push |s| past 1; s is never NaN, as u is finite
-        s = ratio * math.sin(phi)
-        if s > 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        phi = 0.5 * (phi + math.asin(s))
+        # |ratio| < 1 for every m < 1, so the sine needs no clamp
+        phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
     am = phi
     sn = math.sin(am)
     cn = math.cos(am)
@@ -243,8 +237,6 @@ def h_from_nome(q: float) -> float:
     """Inverse of nome_from_h via the classical theta quotient h = (th2/th3)^2."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"nome must lie in [0, 1), got {q}")
-    if q == 0.0:
-        return 0.0
     th2 = 2.0 * q**0.25 * _theta_sum(q, lambda n: n * (n + 1), 0.0)
     return (th2 / _theta_sum(q, lambda n: n * n, 1.0)) ** 2
 
@@ -284,7 +276,7 @@ def _g0_product(x_prime: float) -> float:
         f = (1.0 + xn) / (1.0 - xn)
         prod *= f * f
     else:
-        raise RuntimeError("g0 product did not converge")
+        raise RuntimeError(f"g0 product did not converge at x' = {x_prime}")
     return prod
 
 

@@ -259,6 +259,23 @@ class TestTrajectory:
         assert len(rows) == 2
         assert all(math.isfinite(float(v)) for row in rows for v in row[:4])
 
+    @pytest.mark.parametrize("orbit", [
+        ["--h", "0.3", "--t0", "800", "--t1", "801"],
+        ["--h", "0.3", "--t0", "-801", "--t1", "-800"],
+        ["--h", "0.9", "--t0", "1e5", "--t1", "100001"],
+    ])
+    def test_normal_far_from_t0(self, capsys, orbit):
+        # the normal flow past the float range takes whole periods off t
+        assert run_cli(["trajectory", "--method", "normal", *orbit, "--dt", "1"]) == 0
+        normal = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert run_cli(["trajectory", "--method", "series", *orbit, "--dt", "1"]) == 0
+        series = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(normal) == len(series) == 2
+        for n, s in zip(normal, series):
+            assert n[0] == s[0] and n[4] == "normal"
+            assert abs(float(n[1]) - float(s[1])) <= 1e-10
+            assert abs(float(n[2]) - float(s[2])) <= 1e-15 * max(1.0, abs(float(s[2])))
+
 
 class TestMap:
     def test_json_payload(self, capsys):

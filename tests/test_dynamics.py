@@ -318,6 +318,9 @@ class TestCanonicalMap:
             assert _outcome_hex(solve, x, par) == _outcome_hex(_bracket_search_nome, x, par)
 
     def test_negative_side_checks_the_bound_then_runs_newton(self, par, monkeypatch):
+        # the bound is the cached end of the range, so every Horner pass of a
+        # solve is a Newton step, the first at the clamped target
+        dyn._action_range()
         x = dyn.action_from_nome(-0.05, par)
         points = []
         rescale_sq = dyn._rescale_sq
@@ -328,8 +331,50 @@ class TestCanonicalMap:
 
         monkeypatch.setattr(dyn, "_rescale_sq", recorded)
         dyn.nome_from_action.__wrapped__(x, par)
-        assert points[:2] == [-dyn._NOME_BOUND, x / par.action_scale]
-        assert points.count(-dyn._NOME_BOUND) == 1
+        assert points[0] == x / par.action_scale
+        assert -dyn._NOME_BOUND not in points
+
+    def test_range_bounds_match_the_end_evaluation(self):
+        # "outside" as two cached bounds decides as the Horner pass at the
+        # end of the range on the target's side did, on both ends, their
+        # float neighbours and seeded targets across and around the range
+        low, high = dyn._action_range()
+        targets = [0.5, -0.5, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
+        for end in (low, high):
+            for direction in (-math.inf, math.inf):
+                t = end
+                for _ in range(8):
+                    targets.append(t)
+                    t = math.nextafter(t, direction)
+        rng = random.Random(12_001)
+        for i in range(100_000):
+            if i % 4 == 0:
+                targets.append(rng.uniform(1.2 * low, 1.2 * high))
+            elif i % 4 == 1:
+                targets.append(rng.choice((low, high)) * (1.0 + rng.uniform(-1e-12, 1e-12)))
+            elif i % 4 == 2:
+                targets.append(rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-300.0, 0.0))
+            else:
+                targets.append(rng.uniform(0.45, 0.55) * rng.choice((-1.0, 1.0)))
+        assert len(targets) > 100_000
+        for target in targets:
+            assert (not low <= target <= high) == _outside_by_end_evaluation(target), target
+
+    def test_solves_raise_exactly_outside_the_bounds(self):
+        # 32 I g = 1, so the action is the normalized target itself
+        unit = PendulumParams(1.0 / 32.0, 1.0)
+        low, high = dyn._action_range()
+        rng = random.Random(12_002)
+        targets = [rng.choice((low, high)) * (1.0 + rng.uniform(-1e-14, 1e-14)) for _ in range(2000)]
+        for end in (low, high):
+            for direction in (-math.inf, math.inf):
+                t = end
+                for _ in range(4):
+                    targets.append(t)
+                    t = math.nextafter(t, direction)
+        for target in targets:
+            outcome = _outcome_hex(dyn.nome_from_action.__wrapped__, target, unit)
+            assert outcome.startswith("ValueError") == _outside_by_end_evaluation(target), target
 
     def test_out_of_range_action(self, par):
         # positive actions are reachable up to x(0.5); negative ones saturate
@@ -341,6 +386,16 @@ class TestCanonicalMap:
 
 
 SCAN_PARAMS = (PendulumParams(1.0, 1.0), PendulumParams(0.37, 2.3), PendulumParams(2.5, 0.7))
+
+
+def _outside_by_end_evaluation(target):
+    """nome_from_action's range test before the ends were cached: one
+    Horner pass at the end of the range on the target's side."""
+    bound = dyn._NOME_BOUND
+    if target > 0.0:
+        hi = min(target, bound)
+        return hi * dyn._rescale_sq(hi)[0] - target < 0.0
+    return -bound * dyn._rescale_sq(-bound)[0] - target > 0.0
 
 
 def _bracket_search_nome(x, par):
@@ -570,6 +625,17 @@ class TestStableChart:
         with pytest.raises(ValueError):
             dyn.stable_scaled_state(0.8, 0.7, par)
 
+    def test_working_range(self, par):
+        # the rate's product converges for x_s' below about 0.99586; past it
+        # both entry points raise, naming the nome
+        for state in (dyn.stable_state(0.995, 1.0, par),
+                      dyn.stable_scaled_state(math.sqrt(0.995), 0.0, par)):
+            assert math.isfinite(state.B) and math.isfinite(state.beta)
+        with pytest.raises(RuntimeError, match=r"^g0 product did not converge at x' = -0\.9959$"):
+            dyn.stable_state(0.9959, 1.0, par)
+        with pytest.raises(RuntimeError, match=r"did not converge at x' = -0\.995"):
+            dyn.stable_scaled_state(math.sqrt(0.9959), 0.0, par)
+
     def test_matches_conjugate_pair_sums(self):
         # bit for bit, or the same error type, against the path that summed
         # both members of every conjugate pair in complex arithmetic: axis
@@ -691,6 +757,12 @@ class TestSignedNomeEnergy:
         for x in (1.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 dyn.energy_from_nome(x, par)
+
+    def test_product_caps_name_the_nome(self, par):
+        with pytest.raises(RuntimeError, match=r"^energy product did not converge at x' = -0\.9999$"):
+            dyn.energy_from_nome(-0.9999, par)
+        with pytest.raises(RuntimeError, match=r"^g0 product did not converge at x' = 0\.9999$"):
+            el.g0_from_nome(0.9999, par.g)
 
 
 def _energy_product_with_sign(xs, sign):
@@ -996,9 +1068,22 @@ class TestNomeCache:
         recs = dyn.trajectory("normal", Modulus.from_h(0.3), par, 0.0, 10.0, 0.01)
         info = dyn.nome_from_action.cache_info()
         assert len(recs) == 1001
-        assert info.hits + info.misses == 2002
-        assert info.misses < len(recs)
-        assert info.currsize <= 2
+        # two lookups per sample, and one per trajectory for the flow's nome
+        assert info.hits + info.misses == 2003
+        assert info.misses <= 4
+        assert info.currsize <= 4
+
+    @pytest.mark.parametrize("h", [1e-8, 1e-4, 0.01, 0.3, 0.6, 0.9, 0.99])
+    @pytest.mark.parametrize("which", sorted(PARAMS))
+    def test_at_most_four_solves_per_normal_orbit(self, h, which):
+        # the flowed action cycles through 3-4 rounded values; with four
+        # entries each is solved once (up to 146 solves with two)
+        assert dyn.nome_from_action.cache_info().maxsize == 4
+        dyn.nome_from_action.cache_clear()
+        recs = dyn.trajectory("normal", Modulus.from_h(h), PARAMS[which], 0.0, 10.0, 0.01)
+        info = dyn.nome_from_action.cache_info()
+        assert len(recs) == 1001 and info.hits + info.misses == 2003
+        assert info.misses <= 4
 
 
 ORBITS = ((1e-8, "unit", 0.0), (1e-3, "b", 2.5), (0.05, "unit", 2.5), (0.3, "b", 0.0),
@@ -1067,7 +1152,8 @@ class TestOrbitCaches:
         recs = dyn.trajectory("normal", Modulus.from_h(h), par, 0.0, 10.0, 0.01)
         assert len(recs) == 1001
         g0 = el._g0_product.cache_info()
-        assert g0.misses <= 8 and g0.hits + g0.misses == 2002
+        # two lookups per sample, and one per trajectory for the flow's rate
+        assert g0.misses <= 8 and g0.hits + g0.misses == 2003
         rescale = dyn._rescale_factor.cache_info()
         assert rescale.misses <= 4 and rescale.hits + rescale.misses == 1002
 
@@ -1078,3 +1164,55 @@ class TestOrbitCaches:
             dyn._rescale_factor(i / 2000.0, par)
             assert dyn._rescale_factor.cache_info().currsize <= 8
         assert dyn._rescale_factor.cache_info().currsize == 8
+
+
+class TestNormalLongTimes:
+    """trajectory("normal") past the float range of its flow takes whole
+    periods off t, as the series chart does, and agrees with it."""
+
+    @pytest.mark.parametrize("h", [1e-8, 0.3, 0.9])
+    @pytest.mark.parametrize("t0", [-800.0, 800.0, 1e5])
+    @pytest.mark.parametrize("which", sorted(PARAMS))
+    def test_matches_series(self, h, t0, which):
+        # past t0 = 5e5 the rounding of t itself costs 1e-10 in both charts
+        par = PARAMS[which]
+        mod = Modulus.from_h(h)
+        energy = 2.0 * par.g**2 * par.I / mod.k**2
+        normal = dyn.trajectory("normal", mod, par, t0, t0 + 10.0, 0.1)
+        series = dyn.trajectory("series", mod, par, t0, t0 + 10.0, 0.1)
+        assert len(normal) == len(series) == 101
+        for n, s in zip(normal, series):
+            assert n.t == s.t
+            assert abs(n.energy - energy) <= 1e-10 * max(par.I * par.g**2, energy)
+            assert abs(n.B - s.B) <= 1e-10 * par.I * par.g
+            assert abs(n.beta - s.beta) <= 1e-15 * max(1.0, abs(s.beta))
+
+    @pytest.mark.parametrize("h", [1e-8, 0.3, 0.9])
+    def test_edge_of_the_flow_range(self, h, par):
+        # up to g0 |t| = 709.7, where p / e turns subnormal or q e overflows
+        # before exp(g0 t) does: at h = 0.9 the direct flow raised at
+        # g0 t = 709, and at h = 1e-8 it lost B to 1e-10.  The series chart
+        # still takes no period off here, and drifts by up to 1.4e-12
+        mod = Modulus.from_h(h)
+        energy = 2.0 * par.g**2 * par.I / mod.k**2
+        x = el.nome_from_h(mod)
+        g0 = el.g0_from_nome(x, par.g)
+        for gt in (690.0, 700.0, 705.0, 709.0, 709.7, -709.0):
+            n = dyn.trajectory("normal", mod, par, gt / g0, gt / g0, 1.0)[0]
+            s = dyn.trajectory("series", mod, par, gt / g0, gt / g0, 1.0)[0]
+            assert abs(n.energy - energy) <= 1e-10 * max(par.I * par.g**2, energy)
+            assert abs(n.B - s.B) <= 1e-10 * par.I * par.g
+            assert abs(n.beta - s.beta) <= 1e-14 * max(1.0, abs(s.beta))
+
+    def test_inside_the_flow_range_unchanged(self, par):
+        # where the flowed coordinates stay normal floats no period is taken off
+        for h in (1e-8, 0.3, 0.9):
+            mod = Modulus.from_h(h)
+            x = el.nome_from_h(mod)
+            a = dyn._rescale_factor(x, par)
+            start = NormalCoords(a * math.sqrt(x), a * math.sqrt(x))
+            for t in (0.0, 3.5, -3.5, 100.0, -100.0, 600.0 / el.g0_from_nome(x, par.g)):
+                got = dyn.trajectory("normal", mod, par, t, t, 1.0)[0]
+                want = dyn.canonical_from_normal(dyn.normal_flow(start, t, par), par)
+                assert (got.B.hex(), got.beta.hex()) == (want.B.hex(), want.beta.hex())
+

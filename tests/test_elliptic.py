@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from pendnf import elliptic as el
@@ -216,6 +216,12 @@ class TestNome:
             q = el.nome_from_h(Modulus.from_h(h))
             assert el.h_from_nome(q) == pytest.approx(h, abs=1e-13)
 
+    def test_h_at_zero_nome(self):
+        # the theta quotient itself gives 0 at either zero
+        for q in (0.0, -0.0):
+            h = el.h_from_nome(q)
+            assert h == 0.0 and h.hex() == (0.0).hex()
+
     def test_domain(self):
         with pytest.raises(ValueError):
             el.h_from_nome(1.0)
@@ -290,6 +296,50 @@ class TestLegendre:
             el.legendre_defect(Modulus.from_h(0.0))
 
 
+def _agm_flagged(m, with_sum):
+    """_agm as it was with its with_sum flag: K ran it without the sum."""
+    a, b = 1.0, math.sqrt((1.0 - m) * (1.0 + m))
+    total = 0.5 * m * m
+    scale = 0.125
+    for _ in range(el._AGM_MAX_ITER):
+        if abs(a - b) <= el._AGM_RTOL * a:
+            break
+        if with_sum:
+            scale *= 2.0
+            total += scale * (a - b) * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return a, b, total
+
+
+class TestAgmSum:
+    def test_k_and_e_bits_match_the_flagged_agm(self):
+        # a and b never read the sum, so one loop serves K and E
+        rng = random.Random(13_001)
+        ms = [0.0, 5e-324, 1e-300, 1e-16, 1e-15, 0.5, 1.0 - 2.0**-53]
+        for i in range(12_000):
+            ms.append((rng.random(), 1.0 - 10 ** rng.uniform(-16.0, 0.0),
+                       10 ** rng.uniform(-320.0, 0.0))[i % 3])
+        for m in ms:
+            if not 0.0 <= m < 1.0:
+                continue
+            a, b, _ = _agm_flagged(m, False)
+            assert el.complete_k(m).hex() == (math.pi / (2.0 * (0.5 * (a + b)))).hex(), m
+            a, _, total = _agm_flagged(m, True)
+            assert el.complete_e(m).hex() == (math.pi / (2.0 * a) * (1.0 - total)).hex(), m
+        assert len(ms) > 10_000
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=5e-324, max_value=1.0 - 2.0**-53))
+    @example(5e-324)
+    @example(1.0 - 2.0**-53)
+    def test_landen_ratios_below_one(self, m):
+        # b_0 = sqrt((1 - m)(1 + m)) >= 1.05e-8, so every |c_i / a_i| < 1
+        # (the last can round just below 0) and |ratio * sin(phi)| <= 1:
+        # asin needs no clamp
+        _, ratios, _ = el._landen_scales.__wrapped__(m)
+        assert all(abs(r) < 1.0 for r in ratios)
+
+
 def _jacobi_elliptic_uncached(u, m):
     """jacobi_elliptic as it was before the Landen scales were cached: the
     scales rebuilt on every call, the clamp written with max/min."""
@@ -341,7 +391,7 @@ def _g0_from_nome_uncached(x_prime, g=1.0):
         f = (1.0 + xn) / (1.0 - xn)
         prod *= f * f
     else:
-        raise RuntimeError("g0 product did not converge")
+        raise RuntimeError(f"g0 product did not converge at x' = {x_prime}")
     return g * prod
 
 

@@ -10,6 +10,10 @@ of the moduli that the nome fixes.  For x' near 1 theta_4(x') cancels to far
 below 50 digits, so there the oracle reads h' from the conjugate nome
 exp(pi^2 / ln x') instead (Jacobi's imaginary transformation).
 
+The elliptic kernel is checked against mpmath's K, E and Jacobi functions
+(which take the parameter m^2), the nome exp(-pi K'/K), and g0 as
+g / theta_4(x')^2 (g / theta_3(|x'|)^2 at a negative nome).
+
 The stable chart is the oscillation of modulus kappa = (theta_2/theta_3)^2(x_s')
 about the bottom, beta = -2 asin(kappa sn(g t)), B = -2 I g kappa cn(g t), where
 the scaled coordinates turn at the rate g0_s = g / theta_3(x_s')^2 = pi g / (2 K).
@@ -22,11 +26,13 @@ import sys
 import mpmath
 import pytest
 
-from pendnf import dynamics as dyn
+from pendnf import dynamics as dyn, elliptic as el
 from pendnf.dynamics import PendulumParams
+from pendnf.elliptic import Modulus
 
 mp = mpmath.mp
 DIGITS = 50
+EPS = sys.float_info.epsilon
 
 
 def energy_oracle(x_prime, I, g):
@@ -121,3 +127,108 @@ class TestStableChart:
             bound = 5e-14 * (1.0 + abs(par.g * t))
             assert float(abs(got.B - B)) <= bound * par.I * par.g, (xs, t)
             assert float(abs(got.beta - beta)) <= bound, (xs, t)
+
+
+# ---------------------------------------------------------------------------
+# the elliptic kernel: K, E, the Jacobi functions, the nome and the rate
+
+
+def _moduli(seed, count):
+    """Seeded moduli in [0, 1): uniform, up to 1 - 2^-53, and down to 1e-300,
+    after the edges."""
+    rng = random.Random(seed)
+    ms = [0.0, 5e-324, 1e-300, 1e-16, 0.5, 0.9, 0.99, 1.0 - 2.0**-53]
+    for i in range(count):
+        ms.append((rng.random(), 1.0 - 10 ** rng.uniform(-16, 0), 10 ** rng.uniform(-300, 0))[i % 3])
+    return ms
+
+
+def jacobi_oracle(u, m):
+    """(am, sn, cn, dn) at modulus m (mpmath takes the parameter m^2): sn, cn,
+    dn at u less 2K n, |u - 2K n| <= K, where am(u) = atan2(sn, cn) + n pi."""
+    with mp.workdps(DIGITS):
+        u, p = mpmath.mpf(u), mpmath.mpf(m) ** 2
+        K = mpmath.ellipk(p)
+        n = mpmath.floor((u + K) / (2 * K))
+        r = u - 2 * K * n
+        sn, cn, dn = (mpmath.ellipfun(f, r, m=p) for f in ("sn", "cn", "dn"))
+        sign = -1 if int(n) % 2 else 1
+        return mpmath.atan2(sn, cn) + n * mpmath.pi, sign * sn, sign * cn, dn
+
+
+def g0_oracle(x_prime, g):
+    """g0 = g / theta_4(x')^2, and g / theta_3(|x'|)^2 at a negative nome;
+    past x' = 0.5 theta_4 comes from the conjugate nome exp(-pi^2 / eps),
+    eps = ln(1/x'), as theta_4 = sqrt(pi / eps) theta_2(exp(-pi^2 / eps))."""
+    with mp.workdps(DIGITS):
+        x = mpmath.mpf(x_prime)
+        if x < 0:
+            return g / mpmath.jtheta(3, 0, -x) ** 2
+        if x <= 0.5:
+            return g / mpmath.jtheta(4, 0, x) ** 2
+        eps = -mpmath.log(x)
+        th4 = mpmath.sqrt(mpmath.pi / eps) * mpmath.jtheta(2, 0, mpmath.exp(-mpmath.pi**2 / eps))
+        return g / th4**2
+
+
+class TestEllipticKernel:
+    def test_complete_integrals(self):
+        # relative error: K within 4 eps, E within 4 eps / (1 - m^2 + eps)^(1/4),
+        # as E -> 1 at m -> 1 takes the cancelling 1 - sum 2^(n-1) c_n^2
+        for m in _moduli(20_011, 1500):
+            with mp.workdps(DIGITS):
+                p = mpmath.mpf(m) ** 2
+                K, E = mpmath.ellipk(p), mpmath.ellipe(p)
+                err_k = float(abs((el.complete_k(m) - K) / K))
+                err_e = float(abs((el.complete_e(m) - E) / E))
+            assert err_k <= 4 * EPS, m
+            assert err_e <= 4 * EPS / ((1.0 - m) * (1.0 + m) + EPS) ** 0.25, m
+
+    @pytest.mark.parametrize("lo,hi,bound", [
+        (0.0, 1.0, 4 * EPS),
+        (1.0, 1e3, 16 * EPS),
+        (1e3, 1e6, 6 * EPS),
+        (1e6, 1e8, 6 * EPS),
+    ], ids=["u_to_1", "u_to_1e3", "u_to_1e6", "u_to_1e8"])
+    def test_jacobi_functions(self, lo, hi, bound):
+        # absolute error of am, sn, cn, dn within bound * max(1, |u|): the
+        # descent seeds the phase with 2^n a_n u, whose rounding grows with u;
+        # at 1 - m ~ 1e-15 (K ~ 20) an error of a few eps K adds on, which
+        # shows as up to 10 eps |u| for |u| of a few K
+        rng = random.Random(20_013 + int(hi))
+        for i in range(150):
+            u = rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
+            m = (rng.random(), 1.0 - 10 ** rng.uniform(-16, 0), 10 ** rng.uniform(-20, 0))[i % 3]
+            got = el.jacobi_elliptic(u, m)
+            for value, want in zip(got, jacobi_oracle(u, m)):
+                assert float(abs(value - want)) <= bound * max(1.0, abs(u)), (u, m)
+
+    def test_nome_from_h(self):
+        # relative error within 4 eps (1 + ln(1/x')) against
+        # exp(-pi K(h') / K(h)) of the Modulus's own floats h and h'; near
+        # h = 0 the rounding of h' itself costs 2 eps / h^2 more, which this
+        # does not bound
+        rng = random.Random(20_017)
+        for i in range(1500):
+            h = (rng.random(), 10 ** rng.uniform(-7.9, 0), 1 - 10 ** rng.uniform(-16, 0))[i % 3]
+            mod = Modulus.from_h(h)
+            if not (0.0 < mod.h and mod.h_prime < 1.0):
+                continue
+            with mp.workdps(DIGITS):
+                K = mpmath.ellipk(mpmath.mpf(mod.h) ** 2)
+                Kp = mpmath.ellipk(mpmath.mpf(mod.h_prime) ** 2)
+                want = mpmath.exp(-mpmath.pi * Kp / K)
+                err = float(abs((el.nome_from_h(mod) - want) / want))
+            assert err <= 4 * EPS * (1.0 - math.log(float(want))), h
+
+    def test_g0_both_signs(self):
+        # relative error within 2 eps per factor of the product, about
+        # 41 / ln(1/|x'|) factors; positive nomes up to 0.99 (g0 overflows
+        # from x' = 0.9931), negative ones up to the stable chart's 0.995
+        rng = random.Random(20_019)
+        for i in range(1500):
+            g = (1.0, 2.3, 0.7)[i % 3]
+            x = (rng.uniform(-0.995, 0.99), rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-300, 0) * 0.99)[i % 2]
+            factors = 1.0 + 41.0 / -math.log(abs(x))
+            err = float(abs((el.g0_from_nome(x, g) - g0_oracle(x, g)) / g0_oracle(x, g)))
+            assert err <= 2 * EPS * factors, x
