@@ -478,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", parents=[common], help="sample a libration trajectory")
     p.add_argument("--method", choices=TRAJECTORY_METHODS, required=True)
     orbit = p.add_mutually_exclusive_group(required=True)
-    orbit.add_argument("--h", type=_finite_float, help="modulus h in (0, 1)")
+    orbit.add_argument("--h", type=_positive_float, help="modulus h in (0, 1)")
     orbit.add_argument("--energy", type=_finite_float, help="libration energy (> 0)")
     p.add_argument("--t0", type=_finite_float, default=0.0)
     p.add_argument("--t1", type=_finite_float, required=True)

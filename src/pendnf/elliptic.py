@@ -8,12 +8,12 @@ coupled pair (h, h') with h^2 + h'^2 = 1 and k = h'/h; the separatrix is the
 smooth limit h -> 0 (where k diverges but nothing else does).
 
 K and E use the arithmetic-geometric mean, sn/cn/dn the descending Landen
-transformation; both converge quadratically and reach machine precision in
-at most ~10 iterations.  Every function returns a value determined by its
-arguments alone.  Two keep small bounded caches of what one orbit asks for
-again and again (the Landen scales of a modulus, the g0 product of a nome);
-a cache hit returns the same bits as a fresh evaluation, and an input that
-raises is never cached.
+transformation of the same AGM; it converges quadratically and reaches
+machine precision in at most ~10 iterations.  Every function returns a value
+determined by its arguments alone.  Two keep small bounded caches of what one
+orbit asks for again and again: one AGM pass per modulus serves K, E and the
+Landen descent, and one g0 product per nome.  A cache hit returns the same
+bits as a fresh evaluation, and an input that raises is never cached.
 """
 
 from __future__ import annotations
@@ -99,21 +99,30 @@ class Modulus:
         return cls.from_k(g * math.sqrt(2.0 * inertia / energy))
 
 
-def _agm(m: float) -> tuple[float, float, float]:
-    """The AGM of 1 and sqrt(1 - m^2), stopped once |a - b| reaches a few
-    ulp: the last (a, b) and the sum sum_n 2^(n-1) c_n^2 over the
-    half-differences, c_0 = m, which only E reads.
+@functools.lru_cache(maxsize=8, typed=True)
+def _agm(m: float) -> tuple[tuple[float, float, float], float, tuple[float, ...], float]:
+    """One AGM pass over (a, b, c) from (1, sqrt(1 - m^2), m), cached on m
+    (and its type) for the last 8 moduli: an orbit asks for one or two.
+
+    It records (a, b, sum_n 2^(n-1) c_n^2) at the first step where |a - b|
+    reaches a few ulp, which is what K and E read, and runs on until c does
+    (at most one step more) for the descending Landen scales: the last a, the
+    ratios c_i / a_i in descent order i = n, ..., 1, and b_0.
     """
-    a, b = 1.0, math.sqrt((1.0 - m) * (1.0 + m))
+    a, b, c = 1.0, math.sqrt((1.0 - m) * (1.0 + m)), m
+    b_0, ratios, mean = b, [], None
     total = 0.5 * m * m
     scale = 0.125               # 2^(n-1) c_n^2 = 2^(n-3) (a - b)^2 of the step before
     for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_RTOL * a:
+        if mean is None and abs(a - b) <= _AGM_RTOL * a:
+            mean = a, b, total
+        if c <= _AGM_RTOL * a:
             break
         scale *= 2.0
         total += scale * (a - b) * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return a, b, total
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        ratios.append(c / a)
+    return mean, a, tuple(reversed(ratios)), b_0
 
 
 def complete_k(m: float) -> float:
@@ -123,7 +132,7 @@ def complete_k(m: float) -> float:
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {m}")
-    a, b, _ = _agm(m)
+    a, b, _ = _agm(m)[0]
     return math.pi / (2.0 * (0.5 * (a + b)))
 
 
@@ -137,46 +146,25 @@ def complete_e(m: float) -> float:
         raise ValueError(f"modulus must lie in [0, 1], got {m}")
     if m == 1.0:
         return 1.0
-    a, _, total = _agm(m)
+    a, _, total = _agm(m)[0]
     return math.pi / (2.0 * a) * (1.0 - total)
-
-
-@functools.lru_cache(maxsize=8)
-def _landen_scales(m: float) -> tuple[float, tuple[float, ...], float]:
-    """The descending Landen scales of modulus m in [0, 1): the last AGM
-    mean a_n, the ratios c_i / a_i in descent order i = n, ..., 1, and the
-    last b.  Cached on m for the last 8 moduli (a trajectory asks for one).
-    """
-    a, b, c = 1.0, math.sqrt((1.0 - m) * (1.0 + m)), m
-    ratios = []
-    for _ in range(_AGM_MAX_ITER):
-        if c <= _AGM_RTOL * a:
-            break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        ratios.append(c / a)
-    return a, tuple(reversed(ratios)), b
 
 
 def jacobi_elliptic(u: float, m: float) -> tuple[float, float, float, float]:
     """Jacobi functions (am, sn, cn, dn) at argument u, modulus m in [0, 1).
 
-    Descending Landen transformation: take the AGM scales of m (cached per
-    modulus by _landen_scales, the same bits as recomputing them), seed the
-    phase in the trigonometric regime and fold it back down.  The amplitude
-    comes out unwrapped, am(u + 4K) = am(u) + 2 pi, which is what trajectory
-    code needs.
+    Descending Landen transformation: take the scales of m from its AGM pass
+    (cached per modulus, the same bits as recomputing them), seed the phase
+    in the trigonometric regime and fold it back down.  Below AGM resolution
+    there is nothing to fold and am = 1.0 * u.  The amplitude comes out
+    unwrapped, am(u + 4K) = am(u) + 2 pi, which is what trajectory code needs.
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {m}")
     if not math.isfinite(u):
         raise ValueError(f"argument must be finite, got {u}")
 
-    a_n, ratios, b = _landen_scales(m)
-    if not ratios:
-        # m = 0 or below AGM resolution: trigonometric values are already exact here
-        sn, cn = math.sin(u), math.cos(u)
-        return u, sn, cn, math.hypot(b, m * cn)
-
+    _, a_n, ratios, b_0 = _agm(m)
     phi = math.ldexp(a_n * u, len(ratios))
     for ratio in ratios:
         phi_one = phi
@@ -185,12 +173,13 @@ def jacobi_elliptic(u: float, m: float) -> tuple[float, float, float, float]:
     am = phi
     sn = math.sin(am)
     cn = math.cos(am)
-    if abs(cn) >= 0.25:
+    if ratios and abs(cn) >= 0.25:
         dn = cn / math.cos(phi_one - am)
     else:
-        # the phase ratio turns 0/0 near the zeros of cn; the rearranged
-        # radical sqrt(m'^2 + (m cn)^2) is a cancellation-free equivalent
-        dn = math.hypot(math.sqrt((1.0 - m) * (1.0 + m)), m * cn)
+        # the phase ratio turns 0/0 near the zeros of cn, and without a
+        # descent there is none; the rearranged radical sqrt(m'^2 + (m cn)^2)
+        # is a cancellation-free equivalent
+        dn = math.hypot(b_0, m * cn)
     return am, sn, cn, dn
 
 
@@ -211,16 +200,17 @@ def _theta_sum(q: float, exponent: Callable[[int], int], start: float) -> float:
     """A theta-function sum in the nome q, from its first term on: with
     start 0.0 the theta_2 shape sum_{n>=0} q^exponent(n), with start 1.0 the
     theta_3 shape 1 + 2 sum_{n>=1} q^exponent(n).  Stops after the first
-    term below _PRODUCT_EPS, or past n = 64.
+    term below _PRODUCT_EPS; raises if _MAX_PRODUCT_TERMS terms do not get
+    there (from about q = 1 - 4.2e-7 on).
     """
     total = start
-    n = 0 if start == 0.0 else 1
-    while True:
+    first = 0 if start == 0.0 else 1
+    for n in range(first, first + _MAX_PRODUCT_TERMS):
         term = (1.0 + start) * q ** exponent(n)
         total += term
-        n += 1
-        if term < _PRODUCT_EPS or n > 64:
+        if term < _PRODUCT_EPS:
             return total
+    raise RuntimeError(f"theta sum did not converge at q = {q}")
 
 
 def lambda_from_nome(q: float) -> float:

@@ -250,7 +250,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("orbit", [
         ["--h", "0.3", "--t0", "800", "--t1", "801"],
         ["--h", "0.3", "--t0", "-801", "--t1", "-800"],
-        ["--h", "0", "--t0", "800", "--t1", "801"],
+        ["--h", "1e-8", "--t0", "800", "--t1", "801"],
     ])
     def test_series_far_from_t0(self, capsys, orbit):
         # |g0 t| past the float range of exp(g0 t)
@@ -258,6 +258,18 @@ class TestTrajectory:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert len(rows) == 2
         assert all(math.isfinite(float(v)) for row in rows for v in row[:4])
+
+    @pytest.mark.parametrize("method", ["closed", "series", "rk", "normal"])
+    @pytest.mark.parametrize("h", ["0", "-0.0"])
+    def test_zero_h_is_two(self, capsys, method, h):
+        # h = 0 is the separatrix, outside the (0, 1) the help names: every
+        # method refuses it as a usage error, before any work
+        argv = ["trajectory", "--method", method, "--h", h, "--t0", "800", "--t1", "801", "--dt", "1"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --h: must be positive, got {float(h)}" in captured.err
+        assert run_cli([*argv[:3], "--h", "1e-8", *argv[5:]]) == 0
 
     @pytest.mark.parametrize("orbit", [
         ["--h", "0.3", "--t0", "800", "--t1", "801"],

@@ -1110,7 +1110,7 @@ def _rk_batch_per_call_constants(state0, par, times, tol):
 
 
 class TestOrbitCaches:
-    """The per-orbit invariants (g0, a(x'), the Landen scales) are computed
+    """The per-orbit invariants (g0, a(x'), the AGM pass) are computed
     once per orbit, and every trajectory keeps its bits."""
 
     # SHA-256 of the 8 orbits' 1001-sample records, recorded before the
@@ -1123,7 +1123,7 @@ class TestOrbitCaches:
 
     @pytest.mark.parametrize("method", sorted(DIGESTS))
     def test_trajectory_bytes(self, method):
-        el._landen_scales.cache_clear()
+        el._agm.cache_clear()
         el._g0_product.cache_clear()
         dyn._rescale_factor.cache_clear()
         assert _trajectories_digest(method) == self.DIGESTS[method]

@@ -222,6 +222,14 @@ class TestNome:
             h = el.h_from_nome(q)
             assert h == 0.0 and h.hex() == (0.0).hex()
 
+    def test_theta_sums_raise_past_their_term_cap(self):
+        # 10,000 terms reach 1e-18 up to about q = 1 - 4.2e-7
+        q = 1.0 - 1e-7
+        for nome_to in (el.h_from_nome, el.lambda_from_nome):
+            with pytest.raises(RuntimeError, match=f"theta sum did not converge at q = {q}"):
+                nome_to(q)
+        assert 0.0 < el.h_from_nome(1.0 - 1e-6) <= 1.0 + 1e-14
+
     def test_domain(self):
         with pytest.raises(ValueError):
             el.h_from_nome(1.0)
@@ -297,18 +305,20 @@ class TestLegendre:
 
 
 def _agm_flagged(m, with_sum):
-    """_agm as it was with its with_sum flag: K ran it without the sum."""
+    """_agm as it was with its with_sum flag (K ran it without the sum), and
+    before the Landen descent shared it: the (a, b, sum) at |a - b| <= RTOL a,
+    and the number of steps taken."""
     a, b = 1.0, math.sqrt((1.0 - m) * (1.0 + m))
     total = 0.5 * m * m
     scale = 0.125
-    for _ in range(el._AGM_MAX_ITER):
+    for steps in range(el._AGM_MAX_ITER):
         if abs(a - b) <= el._AGM_RTOL * a:
             break
         if with_sum:
             scale *= 2.0
             total += scale * (a - b) * (a - b)
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return a, b, total
+    return (a, b, total), steps
 
 
 class TestAgmSum:
@@ -322,9 +332,9 @@ class TestAgmSum:
         for m in ms:
             if not 0.0 <= m < 1.0:
                 continue
-            a, b, _ = _agm_flagged(m, False)
+            (a, b, _), _ = _agm_flagged(m, False)
             assert el.complete_k(m).hex() == (math.pi / (2.0 * (0.5 * (a + b)))).hex(), m
-            a, _, total = _agm_flagged(m, True)
+            (a, _, total), _ = _agm_flagged(m, True)
             assert el.complete_e(m).hex() == (math.pi / (2.0 * a) * (1.0 - total)).hex(), m
         assert len(ms) > 10_000
 
@@ -336,13 +346,99 @@ class TestAgmSum:
         # b_0 = sqrt((1 - m)(1 + m)) >= 1.05e-8, so every |c_i / a_i| < 1
         # (the last can round just below 0) and |ratio * sin(phi)| <= 1:
         # asin needs no clamp
-        _, ratios, _ = el._landen_scales.__wrapped__(m)
+        _, _, ratios, _ = el._agm.__wrapped__(m)
         assert all(abs(r) < 1.0 for r in ratios)
 
 
+def _landen_loop(m):
+    """The separate loop jacobi_elliptic ran for its Landen scales: the last
+    a, the ratios in descent order, and the number of steps taken."""
+    a, b, c = 1.0, math.sqrt((1.0 - m) * (1.0 + m)), m
+    ratios = []
+    for steps in range(el._AGM_MAX_ITER):
+        if c <= el._AGM_RTOL * a:
+            break
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        ratios.append(c / a)
+    return a, tuple(reversed(ratios)), steps
+
+
+def _two_loop_kernel(u, m):
+    """K, E and (am, sn, cn, dn) as they were computed from the two loops,
+    with jacobi_elliptic's early return for an empty descent."""
+    (a, b, total), _ = _agm_flagged(m, True)
+    k, e = math.pi / (2.0 * (0.5 * (a + b))), math.pi / (2.0 * a) * (1.0 - total)
+    a_n, ratios, _ = _landen_loop(m)
+    b_0 = math.sqrt((1.0 - m) * (1.0 + m))
+    if not ratios:
+        sn, cn = math.sin(u), math.cos(u)
+        return k, e, u, sn, cn, math.hypot(b_0, m * cn)
+    phi = math.ldexp(a_n * u, len(ratios))
+    for ratio in ratios:
+        phi_one = phi
+        phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
+    sn, cn = math.sin(phi), math.cos(phi)
+    dn = cn / math.cos(phi_one - phi) if abs(cn) >= 0.25 else math.hypot(b_0, m * cn)
+    return k, e, phi, sn, cn, dn
+
+
+def _agm_moduli(seed, count):
+    """The edges, then seeded moduli: uniform, near 1 and down to 5e-324."""
+    rng = random.Random(seed)
+    ms = [0.0, 5e-324, 1e-300, 1e-16, 1e-15, 2e-15, 0.5, 1.0 - 2.0**-53]
+    for i in range(count):
+        ms.append((rng.random(), 1.0 - 10 ** rng.uniform(-16.0, 0.0),
+                   10 ** rng.uniform(-323.0, 0.0))[i % 3])
+    return [m for m in ms if 0.0 <= m < 1.0]
+
+
+class TestOneAgmPass:
+    """One cached AGM pass per modulus serves K, E and the Landen descent
+    with the bits of the two loops it replaced."""
+
+    def test_bits_match_the_two_loops(self):
+        rng = random.Random(13_003)
+        ms = _agm_moduli(13_005, 100_000)
+        assert len(ms) > 100_000
+        for i, m in enumerate(ms):
+            u = (0.0, -0.0, rng.uniform(-3.0, 3.0), rng.uniform(-1e6, 1e6))[i % 4]
+            got = (el.complete_k(m), el.complete_e(m)) + el.jacobi_elliptic(u, m)
+            assert [v.hex() for v in got] == [v.hex() for v in _two_loop_kernel(u, m)], (u, m)
+
+    def test_agm_stop_never_after_the_landen_stop(self):
+        # so one loop can record K and E at the first stop and run on to the
+        # second; the Landen stop comes at the same step or one later
+        lags = set()
+        for m in _agm_moduli(13_007, 20_000):
+            lags.add(_landen_loop(m)[2] - _agm_flagged(m, True)[1])
+        assert lags == {0, 1}
+
+    def test_one_entry_per_modulus(self):
+        el._agm.cache_clear()
+        for m in (0.3, 5e-324):
+            el.complete_k(m)
+            el.complete_e(m)
+            el.jacobi_elliptic(1.5, m)
+            el.jacobi_elliptic(-0.25, m)
+        info = el._agm.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
+
+    def test_types_follow_the_argument(self):
+        # E reads 0.5 m^2 from the cache, a numpy scalar for a numpy m: the
+        # cache is keyed on m's type too, so neither type leaks to the other
+        el._agm.cache_clear()
+        for m in (0.3, np.float64(0.3), 0.3, 0, np.float64(0.0), 0.0):
+            got = el.complete_k(m), el.complete_e(m)
+            want = _two_loop_kernel(1.0, m)[:2]
+            assert [(type(v), v.hex()) for v in got] == [(type(v), v.hex()) for v in want], m
+
+
 def _jacobi_elliptic_uncached(u, m):
-    """jacobi_elliptic as it was before the Landen scales were cached: the
-    scales rebuilt on every call, the clamp written with max/min."""
+    """jacobi_elliptic as it was before the AGM pass was cached: the scales
+    rebuilt on every call, the clamp written with max/min.  Its one descent
+    path seeds the phase with ldexp(a_n u, n) also when n = 0, so am is a
+    float for every u (an int u with m below AGM resolution once came back
+    as the int itself)."""
     if not 0.0 <= m < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {m}")
     if not math.isfinite(u):
@@ -357,9 +453,6 @@ def _jacobi_elliptic_uncached(u, m):
         c_list.append(0.5 * (a_prev - b_prev))
         a_prev, b_prev = a_list[-1], math.sqrt(a_prev * b_prev)
     n = len(a_list) - 1
-    if n == 0:
-        sn, cn = math.sin(u), math.cos(u)
-        return u, sn, cn, math.hypot(b_prev, m * cn)
     phi = math.ldexp(a_list[n] * u, n)
     phi_one = phi
     for i in range(n, 0, -1):
@@ -371,7 +464,7 @@ def _jacobi_elliptic_uncached(u, m):
     am = phi
     sn = math.sin(am)
     cn = math.cos(am)
-    if abs(cn) >= 0.25:
+    if n and abs(cn) >= 0.25:
         dn = cn / math.cos(phi_one - am)
     else:
         dn = math.hypot(math.sqrt((1.0 - m) * (1.0 + m)), m * cn)
@@ -416,7 +509,7 @@ class TestKernelCaches:
         # 12 recurring moduli, drawn at random, against a cache of 8: entries
         # are evicted and recomputed, and hits come from every position
         pool = [rng.random() for _ in range(12)]
-        before = el._landen_scales.cache_info()
+        before = el._agm.cache_info()
         for i in range(12_000):
             if i % 5 == 0:
                 m = self.EDGE_MODULI[i // 5 % len(self.EDGE_MODULI)]
@@ -429,7 +522,7 @@ class TestKernelCaches:
             args = (u, m)
             assert _outcome_bits(el.jacobi_elliptic, *args) == _outcome_bits(
                 _jacobi_elliptic_uncached, *args), args
-        after = el._landen_scales.cache_info()
+        after = el._agm.cache_info()
         assert after.hits - before.hits > 1000
         assert after.misses - before.misses > 1000
 
@@ -455,7 +548,7 @@ class TestKernelCaches:
         assert after.misses - before.misses > 1000
 
     @pytest.mark.parametrize("cache,bound,call", [
-        (el._landen_scales, 8, lambda i: el.jacobi_elliptic(1.0, i / 1000.0)),
+        (el._agm, 8, lambda i: el.jacobi_elliptic(1.0, i / 1000.0)),
         (el._g0_product, 16, lambda i: el.g0_from_nome(i / 2000.0, 1.0)),
     ])
     def test_size_stays_bounded(self, cache, bound, call):

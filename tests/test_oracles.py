@@ -14,19 +14,26 @@ The elliptic kernel is checked against mpmath's K, E and Jacobi functions
 (which take the parameter m^2), the nome exp(-pi K'/K), and g0 as
 g / theta_4(x')^2 (g / theta_3(|x'|)^2 at a negative nome).
 
+The hyperbolic chart, the canonical map and the closed form are checked
+against the libration or oscillation that the nome fixes, written with the
+Jacobi functions of its modulus (see hyperbolic_oracle), and the map's nome
+against the root of x = 32 I g x' a^2(x') with a^2 = (d/dx' theta_4^-2) / 4.
+
 The stable chart is the oscillation of modulus kappa = (theta_2/theta_3)^2(x_s')
 about the bottom, beta = -2 asin(kappa sn(g t)), B = -2 I g kappa cn(g t), where
 the scaled coordinates turn at the rate g0_s = g / theta_3(x_s')^2 = pi g / (2 K).
 """
 
+import json
 import math
 import random
 import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from pendnf import dynamics as dyn, elliptic as el
+from pendnf import cli, dynamics as dyn, elliptic as el
 from pendnf.dynamics import PendulumParams
 from pendnf.elliptic import Modulus
 
@@ -232,3 +239,190 @@ class TestEllipticKernel:
             factors = 1.0 + 41.0 / -math.log(abs(x))
             err = float(abs((el.g0_from_nome(x, g) - g0_oracle(x, g)) / g0_oracle(x, g)))
             assert err <= 2 * EPS * factors, x
+
+
+class TestThetaSums:
+    """h_from_nome and lambda_from_nome sum until a term falls below 1e-18,
+    about sqrt(42 / (1 - q)) terms, so their rounding grows like the square
+    root of that count near q = 1 rather than the sums stopping short."""
+
+    @staticmethod
+    def oracles(q):
+        with mp.workdps(DIGITS):
+            q = mpmath.mpf(q)
+            h = (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 2
+            lam = mpmath.jtheta(2, 0, q**4) / (2 * mpmath.jtheta(3, 0, q**4))
+        return h, lam
+
+    def check(self, q):
+        h, lam = self.oracles(q)
+        growth = 1.0 + (1.0 - q) ** -0.25
+        assert float(abs((el.h_from_nome(q) - h) / h)) <= 8 * EPS * growth, q
+        assert float(abs((el.lambda_from_nome(q) - lam) / lam)) <= 4 * EPS * growth, q
+
+    @pytest.mark.parametrize("q", [0.991, 0.995, 0.999, 0.9999, 0.99999])
+    def test_near_one(self, q):
+        self.check(q)
+
+    def test_seeded_nomes(self):
+        rng = random.Random(20_023)
+        for i in range(200):
+            self.check(1.0 - 10 ** rng.uniform(-5, -2) if i % 2 else rng.uniform(0.0, 0.99))
+
+
+# ---------------------------------------------------------------------------
+# the hyperbolic chart, the canonical map and the closed form
+
+
+def libration_oracle(w, hp, I, g):
+    """(B, beta) of the libration whose Jacobi functions have modulus h', at
+    w = g t / h' - K(h'): beta / 2 = pi / 2 + am(w), B = 2 I g dn(w) / h'.
+    At w = -K the angle is 0 and B = 2 I g h / h' = 2 I g / k."""
+    with mp.workdps(DIGITS):
+        am, _, _, dn = jacobi_oracle(w, hp)
+        return 2 * I * g * dn / hp, mpmath.pi + 2 * am
+
+
+def hyperbolic_oracle(p, q, I, g):
+    """(B, beta) of the hyperbolic chart at scaled coordinates (p', q').
+
+    (-p', -q') gives the opposite state, so q' > 0 (or q' = 0 < p') is taken.
+    The chart flows (p', q') -> (p' / e, q' e), e = exp(g0 t), at the rate
+    g0 = g / theta_4(x)^2 of the nome x = p'q'; with the theta functions at
+    r = |x|, its clock reads g t = theta_3^2 ln|q'/p'| / 2 from |p'| = q'.
+      x > 0: the libration of modulus h' = (theta_4/theta_3)^2 through
+             beta = 0 at |p'| = q' (libration_oracle);
+      x < 0: the oscillation of amplitude kappa' = (theta_4/theta_3)^2 about
+             beta = pi, beta = pi + 2 asin(kappa' sn(w)), B = 2 I g kappa' cn(w),
+             w = g t - K(kappa'), turning at |p'| = q';
+      x = 0: the separatrix, beta = pi + 2 asin(tanh s), B = 2 I g / cosh s
+             at s = ln q' (mirrored, beta -> -beta, on the p' axis).
+    """
+    with mp.workdps(DIGITS):
+        p, q, I, g = map(mpmath.mpf, (p, q, I, g))
+        if q < 0 or (q == 0 and p < 0):
+            B, beta = hyperbolic_oracle(-p, -q, I, g)
+            return -B, -beta
+        if p == 0 or q == 0:
+            s = mpmath.log(q + p)
+            beta = mpmath.pi + 2 * mpmath.asin(mpmath.tanh(s))
+            return 2 * I * g / mpmath.cosh(s), beta if p == 0 else -beta
+        r = abs(p * q)
+        th3, th4 = mpmath.jtheta(3, 0, r), mpmath.jtheta(4, 0, r)
+        mod = (th4 / th3) ** 2
+        w = th3**2 * mpmath.log(q / abs(p)) / 2 - mpmath.ellipk(mod**2)
+        if p > 0:
+            return libration_oracle(w, mod, I, g)
+        sn, cn = mpmath.ellipfun("sn", w, m=mod**2), mpmath.ellipfun("cn", w, m=mod**2)
+        return 2 * I * g * mod * cn, mpmath.pi + 2 * mpmath.asin(mod * sn)
+
+
+def rescale_sq_oracle(y):
+    """The normalized a^2(y) = (d/dy theta_4(y)^-2) / 4."""
+    return mpmath.diff(lambda s: 1 / mpmath.jtheta(4, 0, s) ** 2, y) / 4
+
+
+def map_oracle(p, q, start, I=1.0, g=1.0):
+    """Every output of `pend-nf map` at (p, q): the nome is the root of
+    32 I g x' a^2(x') = p q next to `start`, and the state the hyperbolic
+    chart at (p, q) / a, a = sqrt(32 I g a^2(x'))."""
+    with mp.workdps(DIGITS):
+        p, q, I, g = map(mpmath.mpf, (p, q, I, g))
+        scale = 32 * I * g
+        xp = mpmath.findroot(lambda y: scale * y * rescale_sq_oracle(y) - p * q, mpmath.mpf(start))
+        a = mpmath.sqrt(scale * rescale_sq_oracle(xp))
+        B, beta = hyperbolic_oracle(p / a, q / a, I, g)
+        energy = energy_oracle(xp, I, g)
+        return {
+            "p": p, "q": q, "x": p * q, "x_prime": xp, "g0": g0_oracle(xp, g), "B": B, "beta": beta,
+            "beta_mod_2pi": beta - 2 * mpmath.pi * mpmath.ceil((beta - mpmath.pi) / (2 * mpmath.pi)),
+            "energy_phase": energy, "energy_normal": energy,
+        }
+
+
+CATALOGUE = [key.split()[1:] for key in json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text())["cli"]
+    if key.startswith("map ")]
+
+
+class TestHyperbolicChart:
+    def test_both_signs_and_axes(self):
+        # |dB| within 4 eps (I g + |B|) per term, with 4 + (80 + ln(1 + |q'|
+        # + |p'|)) / ln(1/|x|) terms counting g0's factors and the arctan
+        # sums', and |d beta| within 32 eps (1 + |beta|), for |p'q'| <= 0.5 on
+        # both sides, |q'/p'| up to e^25 either way, and points on both axes
+        rng = random.Random(20_029)
+        for i in range(1200):
+            par = PARAMS[i % 3]
+            x = rng.uniform(-0.5, 0.5) if i % 4 else rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-12, -0.3)
+            q = math.sqrt(abs(x) * math.exp(rng.uniform(-25.0, 25.0))) * rng.choice((-1.0, 1.0))
+            p = x / q
+            if i % 20 == 0:
+                p, q = (0.0, rng.uniform(-30.0, 30.0)) if i % 40 else (rng.uniform(-30.0, 30.0), 0.0)
+            x = p * q
+            got = dyn.hyperbolic_state(p, q, par)
+            B, beta = hyperbolic_oracle(p, q, par.I, par.g)
+            terms = 4.0 + ((80.0 + math.log1p(abs(p) + abs(q))) / -math.log(abs(x)) if x else 0.0)
+            assert float(abs(got.B - B)) <= 4 * EPS * terms * (par.I * par.g + abs(float(B))), (p, q)
+            assert float(abs(got.beta - beta)) <= 32 * EPS * (1.0 + abs(float(beta))), (p, q)
+
+
+class TestClosedForm:
+    def test_seeded_states(self):
+        # against the libration of the Modulus's own h': B within
+        # 4 eps (1 + k^2 + |v|) relative and beta within 4 eps (1 + |beta|)(1 + k^2),
+        # v = g t / h'.  The k^2 is the gap between the float h and
+        # sqrt(1 - h'^2), which k = h'/h and the angle correction read; |v| is
+        # the descent's phase rounding, which reaches dn
+        rng = random.Random(20_031)
+        for i in range(1200):
+            par = PARAMS[i % 3]
+            mod = Modulus.from_h((rng.random(), 10 ** rng.uniform(-6, 0), 1 - 10 ** rng.uniform(-16, 0))[i % 3])
+            if not (0.0 < mod.h and mod.h_prime < 1.0):
+                continue
+            t = rng.uniform(-30.0, 30.0) / par.g
+            got = dyn.closed_form_state(t, mod, par)
+            v = t * par.g / mod.h_prime
+            with mp.workdps(DIGITS):
+                w = mpmath.mpf(t) * par.g / mod.h_prime - mpmath.ellipk(mpmath.mpf(mod.h_prime) ** 2)
+                B, beta = libration_oracle(w, mod.h_prime, par.I, par.g)
+            k2 = mod.k * mod.k
+            assert float(abs((got.B - B) / B)) <= 4 * EPS * (1.0 + k2 + abs(v)), (mod.h, t)
+            assert float(abs(got.beta - beta)) <= 4 * EPS * (1.0 + abs(float(beta))) * (1.0 + k2), (mod.h, t)
+
+
+class TestMapCatalogue:
+    """Every output of `pend-nf map` at the 24 points of the benchmark's
+    catalogue, I = g = 1.  The order-48 truncation of the float a^2(x') sets
+    the error of the nome and of everything read from it (ROADMAP item 3): it
+    is below 1e-13 inside |x'| <= 0.35 and reaches 1e-2 beyond, worst on the
+    negative side, where the slope of x' a^2(x') falls to 6e-4 and
+    multiplies it."""
+
+    # bounds in eps per output, relative, and beta's over 1 + |beta|, by region
+    INNER = {"x": 1, "x_prime": 256, "g0": 256, "B": 1024, "beta": 32, "beta_mod_2pi": 32,
+             "energy_phase": 64, "energy_normal": 128}
+    OUTER = {"x": 1, "x_prime": 3e-3 / EPS, "g0": 3e-3 / EPS, "B": 2e-2 / EPS, "beta": 1e-5 / EPS,
+             "beta_mod_2pi": 1e-5 / EPS, "energy_phase": 1e-5 / EPS, "energy_normal": 1e-5 / EPS}
+
+    @staticmethod
+    def errors(got, want):
+        """Each output's error in eps: relative, and beta's over 1 + |beta|."""
+        scale = {"beta": 1 + abs(want["beta"]), "beta_mod_2pi": 1 + abs(want["beta"])}
+        return {key: float(abs(got[key] - want[key]) / scale.get(key, abs(want[key]))) / EPS
+                for key in want if key not in ("p", "q")}
+
+    @pytest.mark.parametrize("argv", CATALOGUE, ids=lambda argv: " ".join(argv))
+    def test_outputs(self, capsys, argv):
+        assert cli.main(["map", *argv]) == 0
+        got = json.loads(capsys.readouterr().out)
+        want = map_oracle(got["p"], got["q"], got["x_prime"])
+        bounds = self.INNER if abs(got["x_prime"]) <= 0.35 else self.OUTER
+        errors = self.errors(got, want)
+        assert all(errors[key] <= bounds[key] for key in bounds), errors
+        # the form H = B (B / (2I)) - 2 I g^2 sin^2(beta / 2), from the same
+        # state, meets energy_phase's bound too
+        B, beta = got["B"], got["beta"]
+        energy = B * (B / 2.0) - 2.0 * math.sin(beta / 2.0) ** 2
+        error = float(abs((energy - want["energy_phase"]) / want["energy_phase"])) / EPS
+        assert error <= bounds["energy_phase"], error
