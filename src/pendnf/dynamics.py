@@ -148,7 +148,9 @@ def hamiltonian(state: PhaseState, par: PendulumParams) -> float:
 
 def energy_from_nome(x_prime: float, par: PendulumParams) -> float:
     """Energy 32 I g^2 x' prod((1+x'^2n)/(1-x'^(2n-1)))^8 of the signed nome,
-    |x'| < 1: librations for x' >= 0, oscillations below the separatrix for x' < 0."""
+    |x'| < 1: librations for x' >= 0, oscillations below the separatrix for x' < 0.
+    A libration energy past the largest float (above x' = 0.9862 at
+    I = g = 1) raises an OverflowError that names the nome."""
     if not -1.0 < x_prime < 1.0:
         raise ValueError(f"nome must satisfy |x'| < 1, got {x_prime}")
     prod = 1.0
@@ -159,8 +161,12 @@ def energy_from_nome(x_prime: float, par: PendulumParams) -> float:
         if abs(odd) < _TAIL_EPS:
             break
     else:
-        raise RuntimeError(f"energy product did not converge at x' = {x_prime}")
-    return par.action_scale * par.g * x_prime * prod
+        if prod < math.inf:
+            raise RuntimeError(f"energy product did not converge at x' = {x_prime}")
+    energy = par.action_scale * par.g * x_prime * prod
+    if energy == math.inf:
+        raise OverflowError(f"energy exceeds the float range at x' = {x_prime}")
+    return energy
 
 
 def closed_form_state(t: float, mod: Modulus, par: PendulumParams) -> PhaseState:
@@ -276,7 +282,6 @@ def _action_range() -> tuple[float, float]:
     return tuple(y * _rescale_sq(y)[0] for y in (-_NOME_BOUND, _NOME_BOUND))
 
 
-@functools.lru_cache(maxsize=4)
 def nome_from_action(x: float, par: PendulumParams) -> float:
     """Invert the map x = x' a^2(x') for the nome on |x'| <= 0.5, by
     safeguarded Newton (absolute tolerance 1e-14 on x').  The polynomial
@@ -289,33 +294,50 @@ def nome_from_action(x: float, par: PendulumParams) -> float:
     cache holds four: a 1001-sample orbit (h in [1e-8, 0.99]) solves 2-4
     times, up to 146 with two entries.  An error is not cached.
     """
+    return _action_orbit(x, par)[0]
+
+
+@functools.lru_cache(maxsize=4)
+def _action_orbit(x: float, par: PendulumParams) -> tuple[float, float, float]:
+    """The orbit of action x = p q: its nome x' (nome_from_action), the
+    rescale a(x') = sqrt(32 I g a^2(x')) and the rate g0(x'), from one solve."""
     if not math.isfinite(x):
         raise ValueError(f"action x = p q must be finite, got {x}")
     target = x / par.action_scale
-    if target == 0.0:
-        return 0.0
-    # y a^2(y) is increasing on [-_NOME_BOUND, _NOME_BOUND], its slope nowhere
-    # below 6.5e-4 (the least is near y = -0.454), so a target between the
-    # ends has one root, bracketed by 0 and the end on the target's side
-    low, high = _action_range()
-    if not low <= target <= high:
-        raise ValueError(f"action {x} is outside the invertible range (|x'| <= {_NOME_BOUND})")
-    lo, hi = (0.0, _NOME_BOUND) if target > 0.0 else (-_NOME_BOUND, 0.0)
-    y = min(max(target, lo), hi)
-    for _ in range(200):
-        a2, slope = _rescale_sq(y)
-        val = y * a2 - target
-        if val > 0.0:
-            hi = y
+    y = 0.0
+    if target != 0.0:
+        # y a^2(y) is increasing on [-_NOME_BOUND, _NOME_BOUND], its slope
+        # nowhere below 6.5e-4 (the least is near y = -0.454), so a target
+        # between the ends has one root, bracketed by 0 and the end on the
+        # target's side
+        low, high = _action_range()
+        if not low <= target <= high:
+            raise ValueError(f"action {x} is outside the invertible range (|x'| <= {_NOME_BOUND})")
+        lo, hi = (0.0, _NOME_BOUND) if target > 0.0 else (-_NOME_BOUND, 0.0)
+        y = min(max(target, lo), hi)
+        for _ in range(200):
+            a2, slope = _rescale_sq(y)
+            val = y * a2 - target
+            if val > 0.0:
+                hi = y
+            else:
+                lo = y
+            y, y_old = y - val / slope, y
+            if not lo <= y <= hi:
+                y = 0.5 * (lo + hi)
+            if abs(y - y_old) <= 1e-14 * max(1.0, abs(y)):
+                break
         else:
-            lo = y
-        y_new = y - val / slope
-        if not lo <= y_new <= hi:
-            y_new = 0.5 * (lo + hi)
-        if abs(y_new - y) <= 1e-14 * max(1.0, abs(y_new)):
-            return y_new
-        y = y_new
-    raise RuntimeError("nome inversion did not converge")
+            # where the slope is small, Newton can alternate between two
+            # roundings of the root just over 1e-14 apart: bisect the bracket
+            while hi - lo > 1e-14:
+                mid = 0.5 * (lo + hi)
+                if mid * _rescale_sq(mid)[0] - target > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            y = 0.5 * (lo + hi)
+    return y, math.sqrt(par.action_scale * _rescale_sq(y)[0]), elliptic.g0_from_nome(y, par.g)
 
 
 def action_from_nome(x_prime: float, par: PendulumParams) -> float:
@@ -323,21 +345,12 @@ def action_from_nome(x_prime: float, par: PendulumParams) -> float:
     return par.action_scale * (x_prime * _rescale_sq(x_prime)[0])
 
 
-@functools.lru_cache(maxsize=8)
-def _rescale_factor(x_prime: float, par: PendulumParams) -> float:
-    """The rescale a(x') = sqrt(32 I g a^2(x')), cached on (x', par) for the
-    last 8 pairs: a normal trajectory asks for the same few nomes at every
-    sample, and a cache hit returns the same bits."""
-    return math.sqrt(par.action_scale * _rescale_sq(x_prime)[0])
-
-
 def canonical_from_normal(n: NormalCoords, par: PendulumParams) -> PhaseState:
     """Phase state (B, beta) of normal coordinates (p, q): solve the nome
     from x = p*q, divide out the rescale a(x'), and sum the hyperbolic
     series.  The map has unit Jacobian determinant by construction.
     """
-    x_prime = nome_from_action(n.x, par)
-    a = _rescale_factor(x_prime, par)
+    _, a, _ = _action_orbit(n.x, par)
     return hyperbolic_state(n.p / a, n.q / a, par)
 
 
@@ -345,9 +358,7 @@ def normal_flow(n: NormalCoords, t: float, par: PendulumParams) -> NormalCoords:
     """Time-t flow in normal coordinates: q expands and p contracts at the
     energy-dependent rate g0(x'); the product p*q is invariant.
     """
-    x_prime = nome_from_action(n.x, par)
-    g0 = elliptic.g0_from_nome(x_prime, par.g)
-    e = math.exp(g0 * t)
+    e = math.exp(_action_orbit(n.x, par)[2] * t)
     return NormalCoords(p=n.p / e, q=n.q * e)
 
 
@@ -533,12 +544,11 @@ def trajectory(
         states = [series_state(x_prime, t, par) for t in times]
     elif method == "normal":
         x_prime = elliptic.nome_from_h(mod)
-        a = _rescale_factor(x_prime, par)
+        a = math.sqrt(par.action_scale * _rescale_sq(x_prime)[0])
         start = NormalCoords(a * math.sqrt(x_prime), a * math.sqrt(x_prime))
         # the nome and rate normal_flow takes; the flowed coordinates
         # start.p / e and start.q e stay normal floats while g0 |t| <= limit
-        flow_nome = nome_from_action(start.x, par)
-        g0 = elliptic.g0_from_nome(flow_nome, par.g)
+        flow_nome, _, g0 = _action_orbit(start.x, par)
         limit = -_LOG_FLOAT_MIN - abs(math.log(start.p)) if start.p else math.inf
 
         def state(t: float) -> PhaseState:

@@ -228,7 +228,8 @@ def h_from_nome(q: float) -> float:
     if not 0.0 <= q < 1.0:
         raise ValueError(f"nome must lie in [0, 1), got {q}")
     th2 = 2.0 * q**0.25 * _theta_sum(q, lambda n: n * (n + 1), 0.0)
-    return (th2 / _theta_sum(q, lambda n: n * n, 1.0)) ** 2
+    # the rounded quotient reaches 1 from q = 0.7655; keep it a modulus
+    return min((th2 / _theta_sum(q, lambda n: n * n, 1.0)) ** 2, 1.0 - 2.0**-53)
 
 
 def g0_eval(mod: Modulus, g: float) -> float:
@@ -244,7 +245,9 @@ def g0_eval(mod: Modulus, g: float) -> float:
 def g0_from_nome(x_prime: float, g: float = 1.0) -> float:
     """g0 from the nome alone, by the quadratic infinite product
     g0 = g prod_n ((1 + x'^n)/(1 - x'^n))^2; valid for |x'| < 1 of either
-    sign (negative arguments serve the stable chart).
+    sign (negative arguments serve the stable chart).  Past the largest
+    float (above x' = 0.9931 at g = 1) it raises an OverflowError that names
+    the nome.
 
     The product is cached on x' (and its type) for the last 16 nomes, so
     the few nomes one orbit visits are multiplied out once; g multiplies
@@ -266,7 +269,10 @@ def _g0_product(x_prime: float) -> float:
         f = (1.0 + xn) / (1.0 - xn)
         prod *= f * f
     else:
-        raise RuntimeError(f"g0 product did not converge at x' = {x_prime}")
+        if prod < math.inf:
+            raise RuntimeError(f"g0 product did not converge at x' = {x_prime}")
+    if prod == math.inf:
+        raise OverflowError(f"g0 exceeds the float range at x' = {x_prime}")
     return prod
 
 

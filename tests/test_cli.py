@@ -303,14 +303,21 @@ class TestMap:
     def test_out_of_range_is_two(self):
         assert run_cli(["map", "--p", "100.0", "--q", "100.0"]) == 2
 
-    def test_nome_nonconvergence_is_one_without_traceback(self):
-        # Newton stalls on this negative action, where the map saturates
-        result = subprocess.run(
-            [sys.executable, "-m", "pendnf.cli", "map", "--p", "1", "--q", "-2.5445688846475436"],
-            capture_output=True, text=True,
-        )
+    def test_failed_check_is_one_without_traceback(self):
+        # a numerical step that fails at run time, here inside the jacobian
+        # suite, exits 1 with one line on stderr
+        script = "\n".join((
+            "import sys",
+            "from pendnf import cli, dynamics",
+            "def stalled(*args):",
+            "    raise RuntimeError('iteration did not converge')",
+            "dynamics.jacobian_det = stalled",
+            "sys.argv = ['pend-nf', 'verify', '--suite', 'jacobian']",
+            "cli.entry_point()",
+        ))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 1
-        assert result.stderr == "pend-nf: check failed: nome inversion did not converge\n"
+        assert result.stderr == "pend-nf: check failed: iteration did not converge\n"
         assert "Traceback" not in result.stderr
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from helpers import newton_nome
 from pendnf import cli, dynamics as dyn, elliptic as el, normal_form as nf
 from pendnf.dynamics import NormalCoords, PendulumParams, PhaseState
 from pendnf.elliptic import Modulus
@@ -307,15 +308,22 @@ class TestCanonicalMap:
 
     def test_negative_side_matches_the_bracket_search(self):
         # the bracket [-_NOME_BOUND, 0] gives the bits the widening search
-        # gave, or the same error, two thirds of the actions near the
-        # saturated end of the map
+        # gave, or the same range error, two thirds of the actions near the
+        # saturated end of the map; where the search's Newton did not
+        # converge the bisection answers instead
         rng = random.Random(8401)
-        solve = dyn.nome_from_action.__wrapped__
+        stalled = 0
         for i in range(5000):
             par = SCAN_PARAMS[i % 3]
             x_prime = rng.uniform(-0.5, -0.25) if i % 3 else rng.uniform(-0.25, 0.0)
             x = dyn.action_from_nome(x_prime, par) * (1.0 + rng.uniform(-1e-3, 1e-3))
-            assert _outcome_hex(solve, x, par) == _outcome_hex(_bracket_search_nome, x, par)
+            want = _outcome_hex(_bracket_search_nome, x, par)
+            if want == "RuntimeError: nome inversion did not converge":
+                stalled += 1
+                assert -dyn._NOME_BOUND <= _solve(x, par) <= 0.0
+            else:
+                assert _outcome_hex(_solve, x, par) == want
+        assert stalled > 20
 
     def test_negative_side_checks_the_bound_then_runs_newton(self, par, monkeypatch):
         # the bound is the cached end of the range, so every Horner pass of a
@@ -330,7 +338,7 @@ class TestCanonicalMap:
             return rescale_sq(y)
 
         monkeypatch.setattr(dyn, "_rescale_sq", recorded)
-        dyn.nome_from_action.__wrapped__(x, par)
+        _solve(x, par)
         assert points[0] == x / par.action_scale
         assert -dyn._NOME_BOUND not in points
 
@@ -373,7 +381,7 @@ class TestCanonicalMap:
                     targets.append(t)
                     t = math.nextafter(t, direction)
         for target in targets:
-            outcome = _outcome_hex(dyn.nome_from_action.__wrapped__, target, unit)
+            outcome = _outcome_hex(_solve, target, unit)
             assert outcome.startswith("ValueError") == _outside_by_end_evaluation(target), target
 
     def test_out_of_range_action(self, par):
@@ -386,6 +394,11 @@ class TestCanonicalMap:
 
 
 SCAN_PARAMS = (PendulumParams(1.0, 1.0), PendulumParams(0.37, 2.3), PendulumParams(2.5, 0.7))
+
+
+def _solve(x, par):
+    """nome_from_action past its cache: a fresh solve."""
+    return dyn._action_orbit.__wrapped__(x, par)[0]
 
 
 def _outside_by_end_evaluation(target):
@@ -443,10 +456,14 @@ def _bracket_search_nome(x, par):
 
 
 def _outcome_hex(fn, *args) -> str:
+    """The float result, or each field of a state or coordinate pair, in hex;
+    or the error raised."""
     try:
-        return fn(*args).hex()
+        result = fn(*args)
     except (ValueError, RuntimeError) as exc:
         return f"{type(exc).__name__}: {exc}"
+    values = (result,) if isinstance(result, float) else vars(result).values()
+    return " ".join(v.hex() for v in values)
 
 
 class TestNormalFlow:
@@ -761,8 +778,27 @@ class TestSignedNomeEnergy:
     def test_product_caps_name_the_nome(self, par):
         with pytest.raises(RuntimeError, match=r"^energy product did not converge at x' = -0\.9999$"):
             dyn.energy_from_nome(-0.9999, par)
-        with pytest.raises(RuntimeError, match=r"^g0 product did not converge at x' = 0\.9999$"):
+        with pytest.raises(OverflowError, match=r"^g0 exceeds the float range at x' = 0\.9999$"):
             el.g0_from_nome(0.9999, par.g)
+        with pytest.raises(OverflowError, match=r"^energy exceeds the float range at x' = 0\.9999$"):
+            dyn.energy_from_nome(0.9999, par)
+
+    def test_overflow_names_the_nome(self):
+        # a finite libration energy keeps the product's bits; one past the
+        # largest float (above x' = 0.9862 at I = g = 1) raises, naming x'
+        rng = random.Random(14_007)
+        overflows = 0
+        for i in range(600):
+            par = SCAN_PARAMS[i % 3]
+            x = rng.uniform(0.984, 0.99)
+            want = par.action_scale * par.g * x * _energy_product_with_sign(x, -1.0)
+            if want == math.inf:
+                overflows += 1
+                with pytest.raises(OverflowError, match=f"^energy exceeds the float range at x' = {re.escape(repr(x))}$"):
+                    dyn.energy_from_nome(x, par)
+            else:
+                assert dyn.energy_from_nome(x, par).hex() == want.hex()
+        assert 100 < overflows < 500
 
 
 def _energy_product_with_sign(xs, sign):
@@ -1000,8 +1036,8 @@ class TestPinnedBytes:
     }
     # seed of the points, digest
     MAP = {
-        "unit": (60, "ffe096f3a5965556ce502d7029437045cc5b5f3345b90da3b84f03b8d0770917"),
-        "b": (61, "97833587d5b2ec15f7642e6ca0d8dc10bfab8fdd9fb091c5c2cc0f4f78e0376f"),
+        "unit": (60, "821453474d1a6a2873c06a5e98e3311a17e8017dbd9224a63313179ab82dd4bc"),
+        "b": (61, "ddc1dcdc0aa7d68e2b209a781b704a8635318b8f6192092c496d5e1efa199d3e"),
     }
 
     @pytest.mark.parametrize("h,which", sorted(TRAJECTORY))
@@ -1019,18 +1055,22 @@ class TestNomeCache:
         x = 0.9
         for _ in range(3):
             for params in (par, PARAMS["b"], par):
-                assert dyn.nome_from_action(x, params) == dyn.nome_from_action.__wrapped__(x, params)
+                assert dyn._action_orbit(x, params) == dyn._action_orbit.__wrapped__(x, params)
         assert dyn.nome_from_action(x, par) != dyn.nome_from_action(x, PARAMS["b"])
 
     def test_errors_are_not_cached(self, par):
-        argv = ["map", "--p", "1", "--q", "-2.5445688846475436"]
+        x = -0.2 * par.action_scale         # past the negative saturation
+        argv = ["map", "--p", "1", "--q", repr(x)]
         for _ in range(3):
-            with pytest.raises(RuntimeError, match="did not converge"):
-                dyn.nome_from_action(-2.5445688846475436, par)
+            misses = dyn._action_orbit.cache_info().misses
+            with pytest.raises(ValueError, match="outside the invertible range"):
+                dyn.nome_from_action(x, par)
+            assert dyn._action_orbit.cache_info().misses == misses + 1
             err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                assert cli.main(argv) == 1
-            assert "nome inversion did not converge" in err.getvalue()
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            assert exit_info.value.code == 2
+            assert "outside the invertible range" in err.getvalue()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected_before_any_step(self, par, monkeypatch, bad):
@@ -1058,15 +1098,15 @@ class TestNomeCache:
         assert steps == []
 
     def test_one_solve_per_map_query(self):
-        dyn.nome_from_action.cache_clear()
+        dyn._action_orbit.cache_clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["map", "--p", "0.31", "--q", "0.27"]) == 0
-        assert dyn.nome_from_action.cache_info().misses == 1
+        assert dyn._action_orbit.cache_info().misses == 1
 
     def test_normal_trajectory_reuses_the_start_action(self, par):
-        dyn.nome_from_action.cache_clear()
+        dyn._action_orbit.cache_clear()
         recs = dyn.trajectory("normal", Modulus.from_h(0.3), par, 0.0, 10.0, 0.01)
-        info = dyn.nome_from_action.cache_info()
+        info = dyn._action_orbit.cache_info()
         assert len(recs) == 1001
         # two lookups per sample, and one per trajectory for the flow's nome
         assert info.hits + info.misses == 2003
@@ -1078,12 +1118,85 @@ class TestNomeCache:
     def test_at_most_four_solves_per_normal_orbit(self, h, which):
         # the flowed action cycles through 3-4 rounded values; with four
         # entries each is solved once (up to 146 solves with two)
-        assert dyn.nome_from_action.cache_info().maxsize == 4
-        dyn.nome_from_action.cache_clear()
+        assert dyn._action_orbit.cache_info().maxsize == 4
+        dyn._action_orbit.cache_clear()
         recs = dyn.trajectory("normal", Modulus.from_h(h), PARAMS[which], 0.0, 10.0, 0.01)
-        info = dyn.nome_from_action.cache_info()
+        info = dyn._action_orbit.cache_info()
         assert len(recs) == 1001 and info.hits + info.misses == 2003
         assert info.misses <= 4
+
+    def test_cache_bounded(self, par):
+        assert dyn._action_orbit.cache_info().maxsize == 4
+        for i in range(1000):
+            dyn.nome_from_action(i / 1000.0, par)
+            assert dyn._action_orbit.cache_info().currsize <= 4
+        assert dyn._action_orbit.cache_info().currsize == 4
+
+
+def _rescale_factor_uncached(x_prime, par):
+    """The rescale a(x') as it was computed on its own, keyed on the nome."""
+    return math.sqrt(par.action_scale * dyn._rescale_sq(x_prime)[0])
+
+
+def _canonical_from_nome_and_rescale(n, par):
+    """canonical_from_normal from separate nome and rescale lookups."""
+    a = _rescale_factor_uncached(newton_nome(n.x, par), par)
+    return dyn.hyperbolic_state(n.p / a, n.q / a, par)
+
+
+def _normal_flow_from_nome_and_rate(n, t, par):
+    """normal_flow from separate nome and rate lookups."""
+    e = math.exp(el.g0_from_nome(newton_nome(n.x, par), par.g) * t)
+    return NormalCoords(p=n.p / e, q=n.q * e)
+
+
+class TestActionOrbit:
+    """One record per action gives the bits that separate, uncached nome,
+    rescale and rate lookups gave, wherever Newton answered."""
+
+    @staticmethod
+    def points(par, rng):
+        """Normal coordinates: the action 0, -0.0, both ends of the range and
+        their float neighbours on the p axis, then seeded actions, tiny, past
+        the range and inside it, split unevenly with random signs."""
+        scale = par.action_scale
+        edges = [0.0, -0.0]
+        for end in dyn._action_range():
+            for direction in (-math.inf, math.inf):
+                x = end * scale
+                for _ in range(4):
+                    edges.append(x)
+                    x = math.nextafter(x, direction)
+        yield from (NormalCoords(x, 1.0) for x in edges)
+        for i in range(10_000 - len(edges)):
+            kind = i % 4
+            if kind == 0:
+                x = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-300, -2) * scale
+            elif kind == 1:
+                x = rng.uniform(-0.2, 0.4) * scale
+            else:
+                x = dyn.action_from_nome(rng.uniform(-0.5, 0.5), par)
+            split = rng.choice((1.0, -1.0)) * math.exp(rng.uniform(-3.0, 3.0))
+            root = math.sqrt(abs(x))
+            yield NormalCoords(root * split, math.copysign(root, x) / split)
+
+    @pytest.mark.parametrize("which", sorted(PARAMS))
+    def test_bits_match_separate_lookups(self, which):
+        par = PARAMS[which]
+        rng = random.Random(14_005)
+        answered = 0
+        for n in self.points(par, rng):
+            want = _outcome_hex(newton_nome, n.x, par)
+            if want == "RuntimeError: nome inversion did not converge":
+                continue
+            answered += 1
+            t = rng.uniform(-5.0, 5.0) / par.g
+            assert _outcome_hex(dyn.nome_from_action, n.x, par) == want, n
+            assert _outcome_hex(dyn.canonical_from_normal, n, par) == _outcome_hex(
+                _canonical_from_nome_and_rescale, n, par), n
+            assert _outcome_hex(dyn.normal_flow, n, t, par) == _outcome_hex(
+                _normal_flow_from_nome_and_rate, n, t, par), (n, t)
+        assert answered > 9_900
 
 
 ORBITS = ((1e-8, "unit", 0.0), (1e-3, "b", 2.5), (0.05, "unit", 2.5), (0.3, "b", 0.0),
@@ -1110,8 +1223,8 @@ def _rk_batch_per_call_constants(state0, par, times, tol):
 
 
 class TestOrbitCaches:
-    """The per-orbit invariants (g0, a(x'), the AGM pass) are computed
-    once per orbit, and every trajectory keeps its bits."""
+    """The per-orbit invariants (g0, the action's record, the AGM pass) are
+    computed once per orbit, and every trajectory keeps its bits."""
 
     # SHA-256 of the 8 orbits' 1001-sample records, recorded before the
     # caches went in
@@ -1125,7 +1238,7 @@ class TestOrbitCaches:
     def test_trajectory_bytes(self, method):
         el._agm.cache_clear()
         el._g0_product.cache_clear()
-        dyn._rescale_factor.cache_clear()
+        dyn._action_orbit.cache_clear()
         assert _trajectories_digest(method) == self.DIGESTS[method]
         # and again from warm caches
         assert _trajectories_digest(method) == self.DIGESTS[method]
@@ -1148,22 +1261,16 @@ class TestOrbitCaches:
         # the flowed action takes a few rounded values along one orbit, and
         # p'q' a few more: each is computed once, not once per sample
         el._g0_product.cache_clear()
-        dyn._rescale_factor.cache_clear()
+        dyn._action_orbit.cache_clear()
         recs = dyn.trajectory("normal", Modulus.from_h(h), par, 0.0, 10.0, 0.01)
         assert len(recs) == 1001
+        orbit = dyn._action_orbit.cache_info()
+        # the flow and the map read the action's record once each per
+        # sample, and the trajectory once for the flow's nome and rate
+        assert orbit.misses <= 4 and orbit.hits + orbit.misses == 2003
         g0 = el._g0_product.cache_info()
-        # two lookups per sample, and one per trajectory for the flow's rate
-        assert g0.misses <= 8 and g0.hits + g0.misses == 2003
-        rescale = dyn._rescale_factor.cache_info()
-        assert rescale.misses <= 4 and rescale.hits + rescale.misses == 1002
-
-    def test_rescale_cache_bounded(self, par):
-        info = dyn._rescale_factor.cache_info()
-        assert info.maxsize == 8
-        for i in range(1000):
-            dyn._rescale_factor(i / 2000.0, par)
-            assert dyn._rescale_factor.cache_info().currsize <= 8
-        assert dyn._rescale_factor.cache_info().currsize == 8
+        # the hyperbolic chart's rate once per sample, and one per record
+        assert g0.misses <= 8 and g0.hits + g0.misses == 1001 + orbit.misses
 
 
 class TestNormalLongTimes:
@@ -1209,7 +1316,7 @@ class TestNormalLongTimes:
         for h in (1e-8, 0.3, 0.9):
             mod = Modulus.from_h(h)
             x = el.nome_from_h(mod)
-            a = dyn._rescale_factor(x, par)
+            a = _rescale_factor_uncached(x, par)
             start = NormalCoords(a * math.sqrt(x), a * math.sqrt(x))
             for t in (0.0, 3.5, -3.5, 100.0, -100.0, 600.0 / el.g0_from_nome(x, par.g)):
                 got = dyn.trajectory("normal", mod, par, t, t, 1.0)[0]

@@ -216,6 +216,25 @@ class TestNome:
             q = el.nome_from_h(Modulus.from_h(h))
             assert el.h_from_nome(q) == pytest.approx(h, abs=1e-13)
 
+    def test_h_stays_a_modulus(self):
+        # the rounded quotient reaches 1 from q = 0.7655 (1.0000000000000004
+        # at q = 0.9); h is held below 1 and keeps the quotient's bits
+        # there, so every nome the theta sums take gives a Modulus
+        rng = random.Random(14_009)
+        qs = [rng.uniform(0.0, 0.99) for _ in range(3000)]
+        qs += [1.0 - 10 ** rng.uniform(-6.3, -2.0) for _ in range(200)]
+        clamped = 0
+        for q in qs:
+            h = el.h_from_nome(q)
+            quotient = (2.0 * q**0.25 * el._theta_sum(q, lambda n: n * (n + 1), 0.0)
+                        / el._theta_sum(q, lambda n: n * n, 1.0)) ** 2
+            assert h.hex() == min(quotient, 1.0 - 2.0**-53).hex(), q
+            clamped += quotient >= 1.0
+            back = el.nome_from_h(Modulus.from_h(h))
+            if q <= 0.5:
+                assert abs(back - q) <= 1e-11, q
+        assert clamped > 500
+
     def test_h_at_zero_nome(self):
         # the theta quotient itself gives 0 at either zero
         for q in (0.0, -0.0):
@@ -483,6 +502,8 @@ def _g0_from_nome_uncached(x_prime, g=1.0):
             break
         f = (1.0 + xn) / (1.0 - xn)
         prod *= f * f
+        if prod == math.inf:
+            raise OverflowError(f"g0 exceeds the float range at x' = {x_prime}")
     else:
         raise RuntimeError(f"g0 product did not converge at x' = {x_prime}")
     return g * prod
@@ -492,7 +513,7 @@ def _outcome_bits(fn, *args):
     """The result as (type, float hex) per value, or the error raised."""
     try:
         result = fn(*args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         return type(exc).__name__, str(exc)
     values = result if isinstance(result, tuple) else (result,)
     return tuple((type(v).__name__, float(v).hex()) for v in values)
@@ -559,12 +580,13 @@ class TestKernelCaches:
         assert cache.cache_info().currsize == bound
 
     def test_error_is_not_cached(self):
-        # past |x'| = 0.9959 the product cannot reach its stop test
-        for _ in range(2):
-            with pytest.raises(RuntimeError, match="g0 product did not converge"):
-                el.g0_from_nome(0.9999)
+        # above x' = 0.9931 the product overflows, and past -0.9959 it
+        # cannot reach its stop test
         el._g0_product.cache_clear()
+        for x_prime in (0.995, 0.9999, 0.995):
+            with pytest.raises(OverflowError, match="g0 exceeds the float range"):
+                el.g0_from_nome(x_prime)
         with pytest.raises(RuntimeError):
             el.g0_from_nome(-0.9999, 2.0)
         info = el._g0_product.cache_info()
-        assert (info.currsize, info.misses) == (0, 1)
+        assert (info.currsize, info.misses) == (0, 4)

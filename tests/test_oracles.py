@@ -33,6 +33,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from helpers import newton_nome
 from pendnf import cli, dynamics as dyn, elliptic as el
 from pendnf.dynamics import PendulumParams
 from pendnf.elliptic import Modulus
@@ -97,9 +98,10 @@ class TestEnergyFromNome:
         for x in (-0.99, -0.9, 0.9, 0.985):
             want = energy_oracle(x, par.I, par.g)
             assert float(abs((dyn.energy_from_nome(x, par) - want) / want)) <= 3e-14 / (1.0 - abs(x))
-        # past the largest float the libration energy overflows, as it should
+        # past the largest float the libration energy overflows, and says so
         assert energy_oracle(0.99, par.I, par.g) > sys.float_info.max
-        assert dyn.energy_from_nome(0.99, par) == math.inf
+        with pytest.raises(OverflowError, match=r"^energy exceeds the float range at x' = 0\.99$"):
+            dyn.energy_from_nome(0.99, par)
 
 
 class TestStableChart:
@@ -340,9 +342,53 @@ def map_oracle(p, q, start, I=1.0, g=1.0):
         }
 
 
+# the float a^2 series' Horner pairs (c_n, (n+1) c_n), exactly, as mpf
+RESCALE_SQ_COEFFS = [(mpmath.mpf(c), mpmath.mpf(dc)) for c, dc in dyn._rescale_sq_coeffs()]
+
+
+def polynomial_root(target, start):
+    """The root of y a^2(y) = target next to `start`, for the truncated float
+    a^2 series that nome_from_action inverts: two Newton steps at 50 digits
+    from a start within 1e-11 of it."""
+    with mp.workdps(DIGITS):
+        y = mpmath.mpf(start)
+        for _ in range(2):
+            val = slope = 0
+            for c, dc in RESCALE_SQ_COEFFS:
+                slope = slope * y + dc
+                val = val * y + c
+            y -= (y * val - target) / slope
+        return y
+
+
 CATALOGUE = [key.split()[1:] for key in json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text())["cli"]
     if key.startswith("map ")]
+
+
+class TestNomeInversion:
+    # max |x' - root| by |x'| band, up to 0.35, 0.40, 0.45 and 0.5, above
+    # what 2,000 solves that Newton finishes reach there (2.0e-14, 1.0e-13,
+    # 7.7e-13 and 9.7e-13, measured)
+    BANDS = ((0.35, 3e-14), (0.40, 1.5e-13), (0.45, 1e-12), (math.inf, 2e-12))
+
+    def test_formerly_stalled_solves_against_polynomial_roots(self):
+        # where Newton alternates between two roundings of the root and used
+        # to raise, the bisection answers as closely as a finished solve
+        rng = random.Random(20_033)
+        stalled = []
+        while len(stalled) < 1000:
+            par = PARAMS[len(stalled) % 3]
+            x = dyn.action_from_nome(rng.uniform(-0.5, -0.3), par)
+            try:
+                newton_nome(x, par)
+            except RuntimeError:
+                stalled.append((x, par))
+        for x, par in stalled:
+            got = dyn.nome_from_action(x, par)
+            want = polynomial_root(x / par.action_scale, got)
+            bound = next(b for edge, b in self.BANDS if abs(got) < edge)
+            assert float(abs(got - want)) <= bound, (x, par)
 
 
 class TestHyperbolicChart:
