@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dynamics, elliptic, normal_form
-from .dynamics import NormalCoords, PendulumParams, PhaseState
+from .dynamics import NormalCoords, PendulumParams
 from .elliptic import Modulus
 from .series import RationalSeries
 
@@ -140,55 +140,41 @@ def jacobian_grid(par: PendulumParams) -> list[NormalCoords]:
 
 def _suite_elliptic(order: int, tol: float | None, par: PendulumParams) -> list[CheckResult]:
     tol = 1e-12 if tol is None else tol
-    results = []
-    us = _linspace(-3.0, 3.0, 13)
-    ms = (0.1, 0.5, 0.9, 0.99)
-    worst_sc = worst_dn = 0.0
-    for m in ms:
-        for u in us:
+    period_tol = max(tol, 1e-10)
+    worst_sc = worst_dn = worst_period = 0.0
+    for m in (0.1, 0.5, 0.9, 0.99):
+        for u in _linspace(-3.0, 3.0, 13):
             _, sn, cn, dn = elliptic.jacobi_elliptic(u, m)
             worst_sc = max(worst_sc, abs(sn * sn + cn * cn - 1.0))
             worst_dn = max(worst_dn, abs(dn * dn + (m * sn) ** 2 - 1.0))
-    results.append(CheckResult("jacobi_identity_sncn", worst_sc <= tol, worst_sc, tol))
-    results.append(CheckResult("jacobi_identity_dn", worst_dn <= tol, worst_dn, tol))
-
-    period_tol = max(tol, 1e-10)
-    worst = 0.0
-    for m in ms:
         period = 4.0 * elliptic.complete_k(m)
         for u in _linspace(-2.0, 2.0, 9):
             s0 = elliptic.jacobi_elliptic(u, m)[1]
             s1 = elliptic.jacobi_elliptic(u + period, m)[1]
-            worst = max(worst, abs(s1 - s0))
-    results.append(CheckResult("jacobi_periodicity", worst <= period_tol, worst, period_tol))
+            worst_period = max(worst_period, abs(s1 - s0))
 
     hs = _linspace(0.01, 0.99, 100)
     nomes = [elliptic.nome_from_h(Modulus.from_h(h)) for h in hs]
     min_step = min(b - a for a, b in zip(nomes, nomes[1:]))
-    results.append(
-        CheckResult("nome_monotonic", min_step > 0.0, min_step, 0.0, "must exceed tolerance")
-    )
 
-    worst = max(
-        abs(
-            elliptic.lambda_from_h(Modulus.from_h(h))
-            - elliptic.lambda_from_nome(elliptic.nome_from_h(Modulus.from_h(h)))
-        )
-        for h in _linspace(0.05, 0.9, 18)
-    )
-    results.append(CheckResult("lambda_theta_quotient", worst <= tol, worst, tol))
-
-    worst = 0.0
-    floor = 0.0
+    worst_lambda = worst_g0 = floor = 0.0
     for h in _linspace(0.05, 0.9, 18):
         mod = Modulus.from_h(h)
+        nome = elliptic.nome_from_h(mod)
+        worst_lambda = max(worst_lambda, abs(elliptic.lambda_from_h(mod) - elliptic.lambda_from_nome(nome)))
         a = elliptic.g0_eval(mod, 1.0)
-        b = elliptic.g0_from_nome(elliptic.nome_from_h(mod), 1.0)
-        worst = max(worst, abs(a - b) / a)
+        b = elliptic.g0_from_nome(nome, 1.0)
+        worst_g0 = max(worst_g0, abs(a - b) / a)
         floor = min(floor, a - 1.0)
-    results.append(CheckResult("g0_product_consistency", worst <= tol, worst, tol))
-    results.append(CheckResult("g0_at_least_g", floor >= 0.0, floor, 0.0, "must not go below 0"))
-    return results
+    return [
+        CheckResult("jacobi_identity_sncn", worst_sc <= tol, worst_sc, tol),
+        CheckResult("jacobi_identity_dn", worst_dn <= tol, worst_dn, tol),
+        CheckResult("jacobi_periodicity", worst_period <= period_tol, worst_period, period_tol),
+        CheckResult("nome_monotonic", min_step > 0.0, min_step, 0.0, "must exceed tolerance"),
+        CheckResult("lambda_theta_quotient", worst_lambda <= tol, worst_lambda, tol),
+        CheckResult("g0_product_consistency", worst_g0 <= tol, worst_g0, tol),
+        CheckResult("g0_at_least_g", floor >= 0.0, floor, 0.0, "must not go below 0"),
+    ]
 
 
 def _suite_legendre(order: int, tol: float | None, par: PendulumParams) -> list[CheckResult]:
@@ -253,13 +239,8 @@ def _suite_dynamics(order: int, tol: float | None, par: PendulumParams) -> list[
     results = []
     mod = Modulus.from_k(1.0)
     horizon = 10.0 / par.g
-    times = _linspace(0.0, horizon, 101)
-    start = PhaseState(B=2.0 * par.I * par.g / mod.k, beta=0.0)
-    rk_states = dynamics._rk_batch(start, par, times, 1e-12)
-    worst = max(
-        abs(dynamics.closed_form_state(t, mod, par).beta - s.beta)
-        for t, s in zip(times, rk_states)
-    )
+    reference = dynamics.trajectory("rk", mod, par, 0.0, horizon, horizon / 100, tol=1e-12)
+    worst = max(abs(dynamics.closed_form_state(r.t, mod, par).beta - r.beta) for r in reference)
     rk_tol = 1e-8 if tol is None else tol
     results.append(CheckResult("closed_vs_rk_beta", worst <= rk_tol, worst, rk_tol))
 
@@ -279,12 +260,8 @@ def _suite_dynamics(order: int, tol: float | None, par: PendulumParams) -> list[
     for h in (0.3, 0.7):
         mod = Modulus.from_h(h)
         energy = 2.0 * par.g**2 * par.I / mod.k**2
-        for t in _linspace(0.0, horizon, 101):
-            drift = abs(
-                dynamics.hamiltonian(dynamics.closed_form_state(t, mod, par), par)
-                - energy
-            ) / energy
-            worst = max(worst, drift)
+        for r in dynamics.trajectory("closed", mod, par, 0.0, horizon, horizon / 100):
+            worst = max(worst, abs(r.energy - energy) / energy)
     results.append(CheckResult("closed_energy_conservation", worst <= energy_tol, worst, energy_tol))
     return results
 

@@ -66,6 +66,8 @@ _POLE_EPS = 1e-9
 # the logs of the largest float and of the least normal one
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)
+# the largest float whose square is finite
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,12 @@ def wrap_angle(beta: float) -> float:
 
 def hamiltonian(state: PhaseState, par: PendulumParams) -> float:
     """H = B^2/(2I) - I g^2 (1 - cos beta); zero at the unstable point,
-    positive for librations, -2 I g^2 at the bottom.
+    positive for librations, -2 I g^2 at the bottom.  Past |B| = sqrt(float
+    max), where B^2 overflows while H need not, the kinetic term is B (B/(2I)).
     """
-    return state.B**2 / (2.0 * par.I) - par.I * par.g**2 * (1.0 - math.cos(state.beta))
+    B = state.B
+    kinetic = B**2 / (2.0 * par.I) if abs(B) <= _SQRT_FLOAT_MAX else B * (B / (2.0 * par.I))
+    return kinetic - par.I * par.g**2 * (1.0 - math.cos(state.beta))
 
 
 def energy_from_nome(x_prime: float, par: PendulumParams) -> float:
@@ -292,7 +297,7 @@ def nome_from_action(x: float, par: PendulumParams) -> float:
     x', the phase state and the normal energy solves once.  The rounding of
     (p/e)(q e) moves a normal trajectory's action through 3-4 values, so the
     cache holds four: a 1001-sample orbit (h in [1e-8, 0.99]) solves 2-4
-    times, up to 146 with two entries.  An error is not cached.
+    times.  An error is not cached.
     """
     return _action_orbit(x, par)[0]
 

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit-code contract, output formats,
 determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from pendnf import dynamics
 from pendnf.cli import _linspace, main
 
 
@@ -104,6 +106,23 @@ class TestExitCodes:
         assert err == (f"pend-nf: error: 32*I*g and 32*I*g^2 must be finite and positive, "
                        f"got I = {I}, g = {g}\n")
 
+    @pytest.mark.parametrize("method", ["closed", "series", "normal", "rk"])
+    def test_large_momentum_answers(self, capsys, method):
+        # B near 6.3e294 squares past the largest float; the energy
+        # 2 I g^2 h^2/(1 - h^2) = 1.978e289 does not
+        argv = ["trajectory", "--method", method, "--h", "0.3", "--t1", "0.02", "--dt", "0.01",
+                "--I", "1e300", "--g", "1e-5"]
+        with np.errstate(over="raise"):
+            assert run_cli(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row[3]) == pytest.approx(2e290 * 0.09 / 0.91, rel=1e-12)
+
+    def test_large_momentum_verifies(self, capsys):
+        assert run_cli(["verify", "--suite", "dynamics", "--I", "1e300", "--g", "1e-5"]) == 0
+        assert capsys.readouterr().out.endswith("OK: 3/3 checks passed\n")
+
     def test_unwritable_output_is_two_without_traceback(self, tmp_path):
         target = tmp_path / "missing" / "x"
         result = subprocess.run(
@@ -119,6 +138,51 @@ class TestExitCodes:
     def test_tolerance_override_pass(self, capsys):
         assert run_cli(["verify", "--suite", "legendre", "--tol", "1e-12"]) == 0
         assert "1.000e-12" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--suite", "theta", "--order", "abc"], "argument --order: not an integer: 'abc'"),
+        (["map", "--p", "abc", "--q", "0.2"], "argument --p: not a number: 'abc'"),
+        (["coeffs", "--series", "g0", "--physical", "--I", "1/x"],
+         "argument --I: not an exact rational: '1/x'"),
+    ])
+    def test_unparsable_argument_is_two(self, capsys, argv, message):
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "closed", "--t0", "1", "--t1", "0"], "t1 must be >= t0"),
+        (["--method", "rk", "--t0", "-1", "--t1", "1"], "reference trajectories start at t = 0"),
+    ])
+    def test_bad_time_window_is_two(self, capsys, argv, message):
+        assert run_cli(["trajectory", "--h", "0.3", "--dt", "0.5", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"pend-nf: error: {message}")
+
+
+# SHA-256 of `verify --suite all` stdout at (I, g) with one option, recorded
+# while the dynamics suite integrated its reference orbit on its own time grid
+# and formed each closed-form energy itself, before both went through
+# dynamics.trajectory
+VERIFY_DIGESTS = {
+    ("0.37", "2.3", ""): "66f0b29c648b2b3dfa2efbd5488c64a447100c19856200f113e2e0454e774894",
+    ("0.37", "2.3", "--tol 1e-9"): "97ddbfcce7e31171427dc2ee64feee468a2723f28ec2eaf49e6c28917d2162d0",
+    ("0.37", "2.3", "--order 30"): "21015f98b8aa8b99244d2c3080a0b3127f9eba6cb153547f88ba0787229df736",
+    ("2.5", "0.7", ""): "bc05eaba55cffa8bdcbbd02a5ba4208156b9c4d2254953db355a9c26be1cbcb1",
+    ("2.5", "0.7", "--tol 1e-9"): "ef95721bd31e0954ecb4669e1462371dce741e85767494e12cb0dfb1ab83d1ea",
+    ("2.5", "0.7", "--order 30"): "725c49deef518646ed5b7d0057d15a021b08f1ed21d83c460877091e749040b5",
+    ("1e-3", "40", ""): "589c00873f9190cdf9b3066874ddc0e72af2fcd0611cc049d289ce2cd4ad9dc1",
+    ("1e-3", "40", "--tol 1e-9"): "20aefa0fc4b64aa2e3e7ad7870984c1c730f4434af3a3a290dc93ea6080970d4",
+    ("1e-3", "40", "--order 30"): "90d4e3e0ba0aeac14b3ebf65dd510a680d5490dfb50baa043eaea06f398fa4fd",
+    ("123", "0.013", ""): "1a7ee821b589da67c53c72b01186012fb953ae3fd2908616ae6ef652ba0e3c9a",
+    ("123", "0.013", "--tol 1e-9"): "2419cb5b833b4af844683cbdb1e19eee39cd8d92a5eabf7157bb136cb2413c84",
+    ("123", "0.013", "--order 30"): "0d19f654c7856b07c6b74449a6273fe9c93b3a5bce1debd7791be9267cf1b4ac",
+    ("3", "3", ""): "dc817575da0746da4026142b4485b4830d49354bbc2ba23b0d095b05f08824f7",
+    ("3", "3", "--tol 1e-9"): "be183fec0ef63315c29fff50c65dd4b3bf5ad535797cce4fae1d608525eae855",
+    ("3", "3", "--order 30"): "aeb65d21bcc4d1191f4ee49df6afdf796f6601826e53b3800744810a9ff03c7e",
+}
 
 
 class TestVerify:
@@ -167,6 +231,27 @@ class TestVerify:
     def test_summary_line(self, capsys):
         run_cli(["verify", "--suite", "legendre"])
         assert "1/1 checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("I, g, option", list(VERIFY_DIGESTS))
+    def test_non_default_scales_keep_their_bytes(self, capsys, I, g, option):
+        # the golden catalogue pins I = g = 1 only
+        assert run_cli(["verify", "--suite", "all", "--I", I, "--g", g, *option.split()]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[I, g, option]
+
+    def test_dynamics_suite_samples_through_trajectory(self, capsys, monkeypatch):
+        calls = []
+        sample = dynamics.trajectory
+
+        def recording(method, mod, par, t0, t1, dt, tol=1e-10):
+            calls.append((method, t0, t1, dt, tol))
+            return sample(method, mod, par, t0, t1, dt, tol=tol)
+
+        monkeypatch.setattr(dynamics, "trajectory", recording)
+        assert run_cli(["verify", "--suite", "dynamics", "--g", "2"]) == 0
+        assert calls[0] == ("rk", 0.0, 5.0, 0.05, 1e-12)
+        assert [c[0] for c in calls[1:]] == ["closed", "closed"]
+        assert all(c[1:4] == (0.0, 5.0, 0.05) for c in calls[1:])
 
 
 class TestCoeffs:
@@ -321,7 +406,9 @@ class TestMap:
         assert "Traceback" not in result.stderr
 
 
-# every grid the verify suites sample, at the default and two other rates g
+# the verify suites' _linspace grids at the default and two other rates g;
+# (0, 10/g, 101) is also the grid of the dynamics suite's trajectories, up to
+# the rounding of their last point
 SUITE_GRIDS = [
     (-3.0, 3.0, 13), (-2.0, 2.0, 9), (0.01, 0.99, 100), (0.05, 0.9, 18),
     (0.05, 0.95, 50), (0.5, 2.0, 7),

@@ -35,6 +35,32 @@ class TestHamiltonian:
         expected = 2 * par_phys.I * par_phys.g**2 / k**2
         assert dyn.hamiltonian(state, par_phys) == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("B", [6.2897090203315096e294, np.float64(6.2897090203315096e294),
+                                   -np.float64(6.2897090203315096e294)],
+                             ids=["float", "numpy", "numpy-negative"])
+    def test_large_momentum_is_finite(self, B):
+        # B^2 passes the largest float while B^2/(2I) does not: the energy
+        # 2 I g^2 h^2/(1 - h^2) of the orbit h = 0.3
+        par = PendulumParams(1e300, 1e-5)
+        with np.errstate(over="raise"):
+            energy = dyn.hamiltonian(PhaseState(B, 0.0), par)
+        assert energy == pytest.approx(2e290 * 0.09 / 0.91, rel=1e-12)
+
+    def test_bits_match_the_square_below_the_limit(self):
+        # where B^2 is finite the energy is the plain expression, bit for bit
+        # (B^2/(2I) itself may pass the largest float, for both)
+        rng = random.Random(1515)
+        limit = math.sqrt(sys.float_info.max)
+        for _ in range(20_000):
+            par = PendulumParams(10 ** rng.uniform(-100, 100), 10 ** rng.uniform(-50, 50))
+            B = rng.choice((limit, math.nextafter(limit, 0.0), rng.uniform(-2.0, 2.0),
+                            rng.choice((1, -1)) * 10 ** rng.uniform(-300, math.log10(limit))))
+            for state in (PhaseState(B, rng.uniform(-20.0, 20.0)), PhaseState(np.float64(-B), 1.0)):
+                with np.errstate(over="ignore"):
+                    want = state.B**2 / (2.0 * par.I) - par.I * par.g**2 * (1.0 - math.cos(state.beta))
+                    got = dyn.hamiltonian(state, par)
+                assert got.hex() == float(want).hex()
+
 
 class TestClosedForm:
     def test_initial_state(self, par):

@@ -4,6 +4,7 @@ domain errors."""
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,16 @@ class TestModulus:
             Modulus.from_k(-2.0)
         with pytest.raises(ValueError):
             Modulus(h=0.5, h_prime=0.5, k=1.0)  # h^2 + h'^2 != 1
+
+    @pytest.mark.parametrize("h, h_prime, k, message", [
+        (1.5, 0.0, 0.0, "h must lie in [0, 1), got 1.5"),
+        (-0.6, 0.8, 1.0, "h must lie in [0, 1), got -0.6"),
+        (0.0, 1.0, 5.0, "h = 0 requires k = inf"),
+        (0.6, 0.8, 1.0, "k*h must equal h_prime"),
+    ])
+    def test_direct_construction_checks_invariants(self, h, h_prime, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Modulus(h=h, h_prime=h_prime, k=k)
 
     def test_from_energy(self):
         mod = Modulus.from_energy(2.0, 1.0, 1.0)

@@ -123,6 +123,19 @@ class TestRescalingIdentity:
         with pytest.raises(ValueError):
             nf.rescaling_identity_check(0)
 
+    @pytest.mark.parametrize("k", [0, 3, 11])
+    def test_reports_perturbed_jacobian_coefficient(self, monkeypatch, k):
+        # one wrong stored coefficient of D shows at exactly that power
+        stored = nf.jacobian_series
+
+        def perturbed(order):
+            s = stored(order)
+            return RationalSeries(s.coeffs[:k] + (s.coeffs[k] + 1,) + s.coeffs[k + 1:], s.var)
+
+        monkeypatch.setattr(nf, "jacobian_series", perturbed)
+        report = nf.rescaling_identity_check(12)
+        assert not report.passed and report.first_mismatch == k and report.order == 12
+
 
 class TestNormalEnergy:
     def test_headline_coefficients(self):
@@ -193,6 +206,10 @@ class TestThetaLogDeriv:
 
     def test_order_200(self):
         assert nf.theta_logderiv_check(200).passed
+
+    def test_order_validation(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            nf.theta_logderiv_check(0)
 
     def test_constant_term_vanishes(self):
         s = nf.g0_series(5).derivative().shift() / nf.g0_series(5)

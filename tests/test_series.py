@@ -157,11 +157,15 @@ class TestArithmetic:
 
     @settings(max_examples=60, deadline=None)
     @given(a=series_strategy(elements=sparse_rationals),
+           b=series_strategy(elements=sparse_rationals),
            c=st.one_of(st.integers(-6, 6), rationals, st.sampled_from([0.5, -0.125, 3.0, 0.0])))
-    def test_scalar_operations_match_fraction_oracle(self, a, c):
+    def test_scalar_operations_match_fraction_oracle(self, a, b, c):
         # one Fraction operation per coefficient is the oracle
         exact = F(c)
         assert (a * c).coeffs == (c * a).coeffs == tuple(v * exact for v in a.coeffs)
+        assert (a - b).coeffs == tuple(u - v for u, v in zip(a.coeffs, b.coeffs))
+        assert (a - c).coeffs == (a.coeffs[0] - exact,) + a.coeffs[1:]
+        assert (c - a).coeffs == (exact - a.coeffs[0],) + tuple(-v for v in a.coeffs[1:])
         if exact == 0:
             with pytest.raises(ZeroDivisionError):
                 a / c
@@ -314,6 +318,15 @@ class TestProducts:
         assert got.order == order
         assert list(got.coeffs) == binomial_product_oracle(factors, power, order)
 
+    @pytest.mark.parametrize("power, order, message", [
+        (1, -1, "order must be >= 0"),
+        (-1, 4, "power must be a nonnegative integer"),
+        (1.5, 4, "power must be a nonnegative integer"),
+    ])
+    def test_invalid_power_or_order(self, power, order, message):
+        with pytest.raises(ValueError, match=message):
+            product_series(((1, 1, 0, 1),), power, order)
+
     def test_invalid_descriptor(self):
         with pytest.raises(ValueError):
             product_series(((2, 1, 0, 1),), 1, 4)
@@ -350,12 +363,29 @@ class TestStability:
             assert all(type(c) is F for c in t.coeffs)
 
 
+class TestConstruction:
+    def test_needs_a_constant_coefficient(self):
+        with pytest.raises(ValueError, match="at least the constant coefficient"):
+            RS(())
+
+    def test_identity_needs_order_one(self):
+        assert RS.identity(1).coeffs == (F(0), F(1))
+        with pytest.raises(ValueError, match="order >= 1"):
+            RS.identity(0)
+
+
 class TestSerialization:
     def test_json_round_trip_with_big_integers(self):
         huge = F(10**40 + 7, 3**30)
         s = RS.from_coeffs([1, huge, -(10**50)], var="x'")
         back = RS.from_json(s.to_json())
         assert back == s
+
+    def test_json_order_must_match_length(self):
+        obj = json.loads(RS.from_coeffs([1, 2, 3]).to_json())
+        obj["order"] = 3
+        with pytest.raises(ValueError, match="length does not match its order"):
+            RS.from_json(json.dumps(obj))
 
     def test_json_schema(self):
         s = RS.from_coeffs([F(1, 2), 3])
