@@ -11,8 +11,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import dynamics, elliptic, normal_form
 from .dynamics import NormalCoords, PendulumParams
@@ -55,8 +55,7 @@ SERIES_NAMES = tuple(_SERIES)
 TRAJECTORY_METHODS = ("closed", "series", "normal", "rk")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measured: float

@@ -22,6 +22,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from scipy.integrate import solve_ivp
 
@@ -95,16 +96,14 @@ class PendulumParams:
         return 32.0 * self.I * self.g
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(NamedTuple):
     """Canonical pair: momentum B = I*dbeta/dt and unwrapped angle beta."""
 
     B: float
     beta: float
 
 
-@dataclass(frozen=True)
-class NormalCoords:
+class NormalCoords(NamedTuple):
     """Canonical normal coordinates (p, q), square roots of action; x = p*q."""
 
     p: float
@@ -115,8 +114,7 @@ class NormalCoords:
         return self.p * self.q
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     t: float
     B: float
     beta: float
@@ -124,8 +122,7 @@ class TrajectoryRecord:
     method: str
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     energy_factored: float
     energy_direct: float
     rel_diff: float
@@ -189,7 +186,7 @@ def closed_form_state(t: float, mod: Modulus, par: PendulumParams) -> PhaseState
     # bounded angle between the unit vectors (cn, sn) and (cn, h*sn)/dn;
     # adding it to the unwrapped amplitude keeps beta continuous
     correction = math.atan2((mod.h - 1.0) * sn * cn, cn * cn + mod.h * sn * sn)
-    return PhaseState(B=B, beta=2.0 * (am + correction))
+    return PhaseState(B, 2.0 * (am + correction))
 
 
 def series_state(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
@@ -204,6 +201,8 @@ def series_state(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
     """
     if not 0.0 <= x_prime < 1.0:
         raise ValueError(f"series representation needs 0 <= x' < 1, got {x_prime}")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     if x_prime == 0.0:
         return PhaseState(B=0.0, beta=0.0)
     g0 = elliptic.g0_from_nome(x_prime, par.g)
@@ -212,7 +211,7 @@ def series_state(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
     e = math.exp(g0 * t)
     root = math.sqrt(x_prime)
     s_sum, r_sum = _arctan_sums((1.0 / e) * root, e * root, x_prime)
-    return PhaseState(B=4.0 * par.I * g0 * r_sum, beta=4.0 * s_sum)
+    return PhaseState(4.0 * par.I * g0 * r_sum, 4.0 * s_sum)
 
 
 def _whole_periods(chart: Callable, x_prime: float, g0: float, t: float) -> PhaseState:
@@ -238,7 +237,7 @@ def hyperbolic_state(p: float, q: float, par: PendulumParams) -> PhaseState:
         raise ValueError(f"the hyperbolic sums require |p'q'| < 1, got {x}")
     g0 = elliptic.g0_from_nome(x, par.g)
     s_sum, r_sum = _arctan_sums(p, q, x)
-    return PhaseState(B=4.0 * par.I * g0 * r_sum, beta=4.0 * s_sum)
+    return PhaseState(4.0 * par.I * g0 * r_sum, 4.0 * s_sum)
 
 
 def _arctan_sums(p: float, q: float, x: float) -> tuple[float, float]:
@@ -363,8 +362,10 @@ def normal_flow(n: NormalCoords, t: float, par: PendulumParams) -> NormalCoords:
     """Time-t flow in normal coordinates: q expands and p contracts at the
     energy-dependent rate g0(x'); the product p*q is invariant.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     e = math.exp(_action_orbit(n.x, par)[2] * t)
-    return NormalCoords(p=n.p / e, q=n.q * e)
+    return NormalCoords(n.p / e, n.q * e)
 
 
 def jacobian_det(n: NormalCoords, par: PendulumParams) -> float:
@@ -436,8 +437,8 @@ def factorization_check(
     """
     if not 0.0 < x_prime < 1.0:
         raise ValueError(f"factorization check needs 0 < x' < 1, got {x_prime}")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     root = math.sqrt(x_prime)
     p = root / gamma
     q = root * gamma
@@ -494,6 +495,8 @@ def stable_state(x_s_prime: float, t: float, par: PendulumParams) -> PhaseState:
     """
     if not 0.0 <= x_s_prime < 1.0:
         raise ValueError(f"amplitude must lie in [0, 1), got {x_s_prime}")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     g0s = elliptic.g0_from_nome(-x_s_prime, par.g)
     root = math.sqrt(x_s_prime)
     return stable_scaled_state(root * math.cos(g0s * t), root * math.sin(g0s * t), par)
@@ -510,6 +513,8 @@ def rk_oracle(
     at the unstable equilibrium: the potential -I g^2 (1 - cos beta) falls
     away from beta = 0, so the momentum grows as the bob drops.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     return _rk_batch(state0, par, [0.0, t], tol)[-1]
 
 
@@ -549,6 +554,12 @@ def trajectory(
         states = [series_state(x_prime, t, par) for t in times]
     elif method == "normal":
         x_prime = elliptic.nome_from_h(mod)
+        if x_prime > _NOME_BOUND:
+            raise ValueError(
+                f"the normal chart needs the nome x' <= {_NOME_BOUND}, i.e. h <= "
+                f"{elliptic.h_from_nome(_NOME_BOUND):.9f}; h = {mod.h} has the nome "
+                f"{x_prime}: use the closed or series method"
+            )
         a = math.sqrt(par.action_scale * _rescale_sq(x_prime)[0])
         start = NormalCoords(a * math.sqrt(x_prime), a * math.sqrt(x_prime))
         # the nome and rate normal_flow takes; the flowed coordinates
@@ -567,8 +578,7 @@ def trajectory(
     else:
         raise ValueError(f"unknown trajectory method {method!r}")
     return [
-        TrajectoryRecord(t=t, B=s.B, beta=s.beta, energy=hamiltonian(s, par), method=method)
-        for t, s in zip(times, states)
+        TrajectoryRecord(t, s.B, s.beta, hamiltonian(s, par), method) for t, s in zip(times, states)
     ]
 
 
@@ -595,4 +605,4 @@ def _rk_batch(
                     rtol=tol, atol=tol * max(1.0, par.I * par.g), t_eval=times)
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")
-    return [PhaseState(B=B, beta=beta) for beta, B in sol.y.T]
+    return [PhaseState(B, beta) for beta, B in zip(*sol.y.tolist())]

@@ -27,7 +27,7 @@ seen so far is computed afresh and replaces the stored one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .series import RationalSeries, product_series
 
@@ -54,8 +54,7 @@ NOME_VAR = "x'"
 STABLE_NOME_VAR = "xs'"
 
 
-@dataclass(frozen=True)
-class StableFormBundle:
+class StableFormBundle(NamedTuple):
     """Stable-chart series (normalized; W carries the 64*I*g argument scale)."""
 
     g0: RationalSeries
@@ -68,16 +67,10 @@ class StableFormBundle:
         return self.normal_energy.order
 
     def truncate(self, order: int) -> "StableFormBundle":
-        return StableFormBundle(
-            g0=self.g0.truncate(order),
-            energy=self.energy.truncate(order),
-            rescale_sq=self.rescale_sq.truncate(order),
-            normal_energy=self.normal_energy.truncate(order),
-        )
+        return StableFormBundle(*(s.truncate(order) for s in self))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     passed: bool
     order: int
     first_mismatch: int | None = None

@@ -356,6 +356,15 @@ class TestTrajectory:
         assert f"argument --h: must be positive, got {float(h)}" in captured.err
         assert run_cli([*argv[:3], "--h", "1e-8", *argv[5:]]) == 0
 
+    def test_normal_past_its_nome_bound_is_two(self, capsys):
+        # above h_from_nome(0.5) the error names the h given and its nome, not
+        # an action derived from the a^2 series outside its domain
+        argv = ["trajectory", "--method", "normal", "--h", "0.9999999", "--t1", "0.02", "--dt", "0.01"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "h = 0.9999999 has the nome 0.58" in captured.err and "action" not in captured.err
+
     @pytest.mark.parametrize("orbit", [
         ["--h", "0.3", "--t0", "800", "--t1", "801"],
         ["--h", "0.3", "--t0", "-801", "--t1", "-800"],

@@ -214,7 +214,7 @@ class TestSeriesState:
             t = math.nextafter(bound / g0, math.inf)
             with pytest.raises(OverflowError):
                 _series_state_from_flow_factors(x, t, par)
-            assert all(math.isfinite(v) for v in vars(dyn.series_state(x, t, par)).values())
+            assert all(math.isfinite(v) for v in dyn.series_state(x, t, par))
 
     def test_zero_nome_is_the_equilibrium_at_any_time(self, par):
         for t in (0.0, 1.0, 800.0, -801.0, 1e300, -1e300):
@@ -488,7 +488,7 @@ def _outcome_hex(fn, *args) -> str:
         result = fn(*args)
     except (ValueError, RuntimeError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    values = (result,) if isinstance(result, float) else vars(result).values()
+    values = (result,) if isinstance(result, float) else result
     return " ".join(v.hex() for v in values)
 
 
@@ -911,8 +911,14 @@ class TestTrajectory:
         assert max(abs(r.energy - e0) for r in recs) / e0 < 1e-11
 
     def test_method_tag(self, par):
-        recs = dyn.trajectory("rk", Modulus.from_h(0.3), par, 0.0, 1.0, 0.5)
-        assert all(r.method == "rk" for r in recs)
+        # every method's rows are read-only records of built-in floats
+        for method in ("closed", "series", "normal", "rk"):
+            recs = dyn.trajectory(method, Modulus.from_h(0.3), par, 0.0, 1.0, 0.5)
+            for r in recs:
+                assert type(r) is dyn.TrajectoryRecord and r.method == method
+                assert all(type(v) is float for v in (r.t, r.B, r.beta, r.energy))
+            with pytest.raises(AttributeError):
+                recs[0].B = 0.0
 
     def test_unknown_method(self, par):
         with pytest.raises(ValueError):
@@ -921,6 +927,21 @@ class TestTrajectory:
     def test_grid_validation(self, par):
         with pytest.raises(ValueError):
             dyn.trajectory("closed", Modulus.from_h(0.3), par, 0.0, 1.0, -0.5)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda v, par: dyn.normal_flow(NormalCoords(0.3, 0.2), v, par), math.nan),
+    (lambda v, par: dyn.normal_flow(NormalCoords(0.3, 0.2), v, par), math.inf),
+    (lambda v, par: dyn.series_state(0.1, v, par), math.nan),
+    (lambda v, par: dyn.series_state(0.1, v, par), -math.inf),
+    (lambda v, par: dyn.stable_state(0.1, v, par), math.inf),
+    (lambda v, par: dyn.stable_state(0.1, v, par), math.nan),
+    (lambda v, par: dyn.factorization_check(0.1, v, par), math.inf),
+    (lambda v, par: dyn.rk_oracle(PhaseState(1.0, 0.0), par, v), math.nan),
+])
+def test_non_finite_time_or_gamma_is_named(call, value, par):
+    with pytest.raises(ValueError, match=f"got {value}$"):
+        call(value, par)
 
 
 class TestParams:
