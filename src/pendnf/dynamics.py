@@ -130,6 +130,8 @@ class FactorizationReport(NamedTuple):
 
 def wrap_angle(beta: float) -> float:
     """The unwrapped angle reduced to (-pi, pi]."""
+    if not math.isfinite(beta):
+        raise ValueError(f"angle must be finite, got {beta}")
     wrapped = math.fmod(beta, 2.0 * math.pi)
     if wrapped > math.pi:
         wrapped -= 2.0 * math.pi
@@ -345,7 +347,10 @@ def _action_orbit(x: float, par: PendulumParams) -> tuple[float, float, float]:
 
 
 def action_from_nome(x_prime: float, par: PendulumParams) -> float:
-    """The action x = x' a^2(x') of the nome x', from the truncated series."""
+    """The action x = x' a^2(x') of the nome x', from the truncated series,
+    on the map's domain |x'| <= 0.5."""
+    if not -_NOME_BOUND <= x_prime <= _NOME_BOUND:
+        raise ValueError(f"nome must satisfy |x'| <= {_NOME_BOUND}, got {x_prime}")
     return par.action_scale * (x_prime * _rescale_sq(x_prime)[0])
 
 
@@ -360,12 +365,18 @@ def canonical_from_normal(n: NormalCoords, par: PendulumParams) -> PhaseState:
 
 def normal_flow(n: NormalCoords, t: float, par: PendulumParams) -> NormalCoords:
     """Time-t flow in normal coordinates: q expands and p contracts at the
-    energy-dependent rate g0(x'); the product p*q is invariant.
+    energy-dependent rate g0(x'); the product p*q is invariant.  Where
+    exp(g0 t) leaves the float range an OverflowError names t and g0.
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    e = math.exp(_action_orbit(n.x, par)[2] * t)
-    return NormalCoords(n.p / e, n.q * e)
+    g0 = _action_orbit(n.x, par)[2]
+    try:
+        e = math.exp(g0 * t)
+        return NormalCoords(n.p / e, n.q * e)
+    except (OverflowError, ZeroDivisionError):
+        # exp overflows past g0 t = 709.78 and turns 0 below -745.13
+        raise OverflowError(f"the flow factor exp(g0 t) leaves the float range at t = {t}, g0 = {g0}") from None
 
 
 def jacobian_det(n: NormalCoords, par: PendulumParams) -> float:

@@ -1,7 +1,6 @@
 """Command-line interface tests: exit-code contract, output formats,
 determinism."""
 
-import hashlib
 import json
 import math
 import subprocess
@@ -10,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import pins
 from pendnf import dynamics
 from pendnf.cli import _linspace, main
 
@@ -162,29 +162,6 @@ class TestExitCodes:
         assert err.startswith(f"pend-nf: error: {message}")
 
 
-# SHA-256 of `verify --suite all` stdout at (I, g) with one option, recorded
-# while the dynamics suite integrated its reference orbit on its own time grid
-# and formed each closed-form energy itself, before both went through
-# dynamics.trajectory
-VERIFY_DIGESTS = {
-    ("0.37", "2.3", ""): "66f0b29c648b2b3dfa2efbd5488c64a447100c19856200f113e2e0454e774894",
-    ("0.37", "2.3", "--tol 1e-9"): "97ddbfcce7e31171427dc2ee64feee468a2723f28ec2eaf49e6c28917d2162d0",
-    ("0.37", "2.3", "--order 30"): "21015f98b8aa8b99244d2c3080a0b3127f9eba6cb153547f88ba0787229df736",
-    ("2.5", "0.7", ""): "bc05eaba55cffa8bdcbbd02a5ba4208156b9c4d2254953db355a9c26be1cbcb1",
-    ("2.5", "0.7", "--tol 1e-9"): "ef95721bd31e0954ecb4669e1462371dce741e85767494e12cb0dfb1ab83d1ea",
-    ("2.5", "0.7", "--order 30"): "725c49deef518646ed5b7d0057d15a021b08f1ed21d83c460877091e749040b5",
-    ("1e-3", "40", ""): "589c00873f9190cdf9b3066874ddc0e72af2fcd0611cc049d289ce2cd4ad9dc1",
-    ("1e-3", "40", "--tol 1e-9"): "20aefa0fc4b64aa2e3e7ad7870984c1c730f4434af3a3a290dc93ea6080970d4",
-    ("1e-3", "40", "--order 30"): "90d4e3e0ba0aeac14b3ebf65dd510a680d5490dfb50baa043eaea06f398fa4fd",
-    ("123", "0.013", ""): "1a7ee821b589da67c53c72b01186012fb953ae3fd2908616ae6ef652ba0e3c9a",
-    ("123", "0.013", "--tol 1e-9"): "2419cb5b833b4af844683cbdb1e19eee39cd8d92a5eabf7157bb136cb2413c84",
-    ("123", "0.013", "--order 30"): "0d19f654c7856b07c6b74449a6273fe9c93b3a5bce1debd7791be9267cf1b4ac",
-    ("3", "3", ""): "dc817575da0746da4026142b4485b4830d49354bbc2ba23b0d095b05f08824f7",
-    ("3", "3", "--tol 1e-9"): "be183fec0ef63315c29fff50c65dd4b3bf5ad535797cce4fae1d608525eae855",
-    ("3", "3", "--order 30"): "aeb65d21bcc4d1191f4ee49df6afdf796f6601826e53b3800744810a9ff03c7e",
-}
-
-
 class TestVerify:
     def test_identity_suite_small_order(self, capsys):
         assert run_cli(["verify", "--suite", "identity51", "--order", "12"]) == 0
@@ -232,12 +209,12 @@ class TestVerify:
         run_cli(["verify", "--suite", "legendre"])
         assert "1/1 checks passed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("I, g, option", list(VERIFY_DIGESTS))
-    def test_non_default_scales_keep_their_bytes(self, capsys, I, g, option):
-        # the golden catalogue pins I = g = 1 only
-        assert run_cli(["verify", "--suite", "all", "--I", I, "--g", g, *option.split()]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[I, g, option]
+    @pytest.mark.parametrize("I, g, option", list(pins.VERIFY))
+    def test_non_default_scales_keep_their_bytes(self, I, g, option):
+        # the golden catalogue pins I = g = 1 only; these digests were
+        # recorded while the dynamics suite integrated its reference orbit on
+        # its own time grid, before it sampled through dynamics.trajectory
+        pins.check(pins.VERIFY[I, g, option])
 
     def test_dynamics_suite_samples_through_trajectory(self, capsys, monkeypatch):
         calls = []

@@ -2,9 +2,7 @@
 other and with the adaptive reference integrator; the canonical map must be
 area preserving and energy consistent."""
 
-import cmath
 import contextlib
-import hashlib
 import io
 import math
 import random
@@ -15,10 +13,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import newton_nome
+import pins
 from pendnf import cli, dynamics as dyn, elliptic as el, normal_form as nf
 from pendnf.dynamics import NormalCoords, PendulumParams, PhaseState
 from pendnf.elliptic import Modulus
+from pins import ORBITS, PARAMS
 
 
 class TestHamiltonian:
@@ -49,17 +48,7 @@ class TestHamiltonian:
     def test_bits_match_the_square_below_the_limit(self):
         # where B^2 is finite the energy is the plain expression, bit for bit
         # (B^2/(2I) itself may pass the largest float, for both)
-        rng = random.Random(1515)
-        limit = math.sqrt(sys.float_info.max)
-        for _ in range(20_000):
-            par = PendulumParams(10 ** rng.uniform(-100, 100), 10 ** rng.uniform(-50, 50))
-            B = rng.choice((limit, math.nextafter(limit, 0.0), rng.uniform(-2.0, 2.0),
-                            rng.choice((1, -1)) * 10 ** rng.uniform(-300, math.log10(limit))))
-            for state in (PhaseState(B, rng.uniform(-20.0, 20.0)), PhaseState(np.float64(-B), 1.0)):
-                with np.errstate(over="ignore"):
-                    want = state.B**2 / (2.0 * par.I) - par.I * par.g**2 * (1.0 - math.cos(state.beta))
-                    got = dyn.hamiltonian(state, par)
-                assert got.hex() == float(want).hex()
+        pins.check("hamiltonian/square_below_limit")
 
 
 class TestClosedForm:
@@ -157,15 +146,7 @@ class TestSeriesState:
     def test_matches_caller_side_flow_factors(self):
         # bit for bit against the path where each caller formed g0 and the
         # flow factors gamma = exp(g0 t), delta = 1/gamma and passed them in
-        rng = random.Random(9001)
-        for i in range(5000):
-            par = PendulumParams(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
-            x = (0.0, rng.uniform(0.0, 1e-6), rng.uniform(0.0, 0.5), rng.uniform(0.5, 0.95))[i % 4]
-            # g0 t spans [-20, 20]: e^20 sqrt(x') is far outside the unit disk
-            t = 0.0 if i % 7 == 0 else rng.uniform(-20.0, 20.0) / el.g0_from_nome(x, par.g)
-            got = dyn.series_state(x, t, par)
-            want = _series_state_from_flow_factors(x, t, par)
-            assert (got.B.hex(), got.beta.hex()) == (want.B.hex(), want.beta.hex())
+        pins.check("series_state/flow_factors")
 
     @pytest.mark.parametrize("h", [0.3, 0.9])
     @pytest.mark.parametrize("t0", [800.0, -800.0, 1e5, -1e5])
@@ -184,7 +165,8 @@ class TestSeriesState:
     @pytest.mark.parametrize("t", [800.0, -800.0, 1e5, -1e5, 3e7])
     def test_long_times_shift_by_whole_periods(self, t, par_phys):
         # B(t) = B(t - kT) and beta(t) = beta(t - kT) + 2 pi k for the
-        # period T = ln(1/x') / g0, with t - kT inside the unshifted range
+        # period T = ln(1/x') / g0, with t - kT inside the range where the
+        # chart takes no period off
         for h in (0.3, 0.9):
             x = el.nome_from_h(Modulus.from_h(h))
             g0 = el.g0_from_nome(x, par_phys.g)
@@ -192,28 +174,22 @@ class TestSeriesState:
             k = round(t / period)
             assert abs(g0 * (t - k * period)) < 10.0
             got = dyn.series_state(x, t, par_phys)
-            want = _series_state_from_flow_factors(x, t - k * period, par_phys)
+            want = dyn.series_state(x, t - k * period, par_phys)
             assert abs(got.B - want.B) <= 1e-9 * par_phys.I * par_phys.g
             assert abs(got.beta - (want.beta + 2.0 * math.pi * k)) <= 1e-9 * max(1.0, abs(got.beta))
 
     def test_inside_the_float_range_unchanged(self, par):
         # up to the largest |g0 t| with exp(g0 t) and 1/exp(-|g0 t|) finite,
         # no period is taken off
+        pins.check("series_state/float_range")
         bound = math.log(sys.float_info.max)
         for h in (0.3, 0.9):
             x = el.nome_from_h(Modulus.from_h(h))
             g0 = el.g0_from_nome(x, par.g)
-            for gt in (700.0, -700.0, bound, -bound):
-                t = gt / g0
-                if abs(g0 * t) > bound:
-                    t = math.nextafter(t, 0.0)
-                got = dyn.series_state(x, t, par)
-                want = _series_state_from_flow_factors(x, t, par)
-                assert (got.B.hex(), got.beta.hex()) == (want.B.hex(), want.beta.hex())
-            # one step past the bound the old path fails; the chart does not
+            # one step past the bound the flow factor overflows; the chart answers
             t = math.nextafter(bound / g0, math.inf)
             with pytest.raises(OverflowError):
-                _series_state_from_flow_factors(x, t, par)
+                math.exp(g0 * t)
             assert all(math.isfinite(v) for v in dyn.series_state(x, t, par))
 
     def test_zero_nome_is_the_equilibrium_at_any_time(self, par):
@@ -246,15 +222,6 @@ def series_state_partial_sums(x_prime, t, par):
         r_sum += sign * xpow * (gpow + dpow) / den
         s_sum += sign * xpow / den * (gpow - dpow) / (2 * n - 1)
     return PhaseState(B=-4.0 * g0 * par.I * r_sum, beta=-4.0 * s_sum)
-
-
-def _series_state_from_flow_factors(x_prime, t, par):
-    g0 = el.g0_from_nome(x_prime, par.g)
-    e = math.exp(g0 * t)
-    gamma, delta = e, 1.0 / e
-    root = math.sqrt(x_prime)
-    s_sum, r_sum = dyn._arctan_sums(delta * root, gamma * root, x_prime)
-    return PhaseState(B=4.0 * par.I * el.g0_from_nome(x_prime, par.g) * r_sum, beta=4.0 * s_sum)
 
 
 class TestHyperbolicState:
@@ -335,21 +302,9 @@ class TestCanonicalMap:
     def test_negative_side_matches_the_bracket_search(self):
         # the bracket [-_NOME_BOUND, 0] gives the bits the widening search
         # gave, or the same range error, two thirds of the actions near the
-        # saturated end of the map; where the search's Newton did not
-        # converge the bisection answers instead
-        rng = random.Random(8401)
-        stalled = 0
-        for i in range(5000):
-            par = SCAN_PARAMS[i % 3]
-            x_prime = rng.uniform(-0.5, -0.25) if i % 3 else rng.uniform(-0.25, 0.0)
-            x = dyn.action_from_nome(x_prime, par) * (1.0 + rng.uniform(-1e-3, 1e-3))
-            want = _outcome_hex(_bracket_search_nome, x, par)
-            if want == "RuntimeError: nome inversion did not converge":
-                stalled += 1
-                assert -dyn._NOME_BOUND <= _solve(x, par) <= 0.0
-            else:
-                assert _outcome_hex(_solve, x, par) == want
-        assert stalled > 20
+        # saturated end of the map; where Newton alone does not converge the
+        # bisection answers instead
+        pins.check("nome_from_action/negative_side")
 
     def test_negative_side_checks_the_bound_then_runs_newton(self, par, monkeypatch):
         # the bound is the cached end of the range, so every Horner pass of a
@@ -407,7 +362,7 @@ class TestCanonicalMap:
                     targets.append(t)
                     t = math.nextafter(t, direction)
         for target in targets:
-            outcome = _outcome_hex(_solve, target, unit)
+            outcome = pins.outcome(_solve, target, unit)
             assert outcome.startswith("ValueError") == _outside_by_end_evaluation(target), target
 
     def test_out_of_range_action(self, par):
@@ -417,9 +372,12 @@ class TestCanonicalMap:
             dyn.nome_from_action(par.action_scale * 1e4, par)
         with pytest.raises(ValueError):
             dyn.nome_from_action(-par.action_scale * 0.2, par)
-
-
-SCAN_PARAMS = (PendulumParams(1.0, 1.0), PendulumParams(0.37, 2.3), PendulumParams(2.5, 0.7))
+        # a nome past |x'| = 0.5 is named, by action_from_nome and the slope that calls it
+        for x_prime in (0.9, -0.6, math.nan, math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"nome must satisfy |x'| <= 0.5, got {x_prime}") + "$"):
+                dyn.action_from_nome(x_prime, par)
+        with pytest.raises(ValueError, match=r"got 0\.6$"):
+            dyn.normal_energy_slope(0.6, par)
 
 
 def _solve(x, par):
@@ -435,61 +393,6 @@ def _outside_by_end_evaluation(target):
         hi = min(target, bound)
         return hi * dyn._rescale_sq(hi)[0] - target < 0.0
     return -bound * dyn._rescale_sq(-bound)[0] - target > 0.0
-
-
-def _bracket_search_nome(x, par):
-    """nome_from_action with its former negative-side bracket: start at the
-    target and widen by 1.5 until f(lo) <= 0, for at most 64 steps."""
-    if not math.isfinite(x):
-        raise ValueError(f"action x = p q must be finite, got {x}")
-    target = x / par.action_scale
-    bound = dyn._NOME_BOUND
-
-    def f_and_slope(y):
-        a2, slope = dyn._rescale_sq(y)
-        return y * a2 - target, slope
-
-    if target == 0.0:
-        return 0.0
-    if target > 0.0:
-        lo, hi = 0.0, min(target, bound)
-        if f_and_slope(hi)[0] < 0.0:
-            raise ValueError(f"action {x} is outside the invertible range (|x'| <= {bound})")
-    else:
-        lo = max(target, -bound)
-        for _ in range(64):
-            if f_and_slope(lo)[0] <= 0.0:
-                break
-            lo = max(lo * 1.5, -bound)
-            if lo == -bound and f_and_slope(lo)[0] > 0.0:
-                raise ValueError(f"action {x} is outside the invertible range (|x'| <= {bound})")
-        hi = 0.0
-    y = min(max(target, lo), hi)
-    for _ in range(200):
-        val, slope = f_and_slope(y)
-        if val > 0.0:
-            hi = y
-        else:
-            lo = y
-        step = -val / slope if slope != 0.0 else math.nan
-        y_new = y + step
-        if not lo <= y_new <= hi:
-            y_new = 0.5 * (lo + hi)
-        if abs(y_new - y) <= 1e-14 * max(1.0, abs(y_new)):
-            return y_new
-        y = y_new
-    raise RuntimeError("nome inversion did not converge")
-
-
-def _outcome_hex(fn, *args) -> str:
-    """The float result, or each field of a state or coordinate pair, in hex;
-    or the error raised."""
-    try:
-        result = fn(*args)
-    except (ValueError, RuntimeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-    values = (result,) if isinstance(result, float) else result
-    return " ".join(v.hex() for v in values)
 
 
 class TestNormalFlow:
@@ -513,6 +416,13 @@ class TestNormalFlow:
             via_closed = dyn.closed_form_state(float(t), mod, par)
             assert abs(via_normal.B - via_closed.B) < 1e-9
             assert abs(via_normal.beta - via_closed.beta) < 1e-9
+
+    @pytest.mark.parametrize("t", [800.0, 1e300, -800.0, -1e300])
+    def test_flow_factor_past_the_float_range_is_named(self, t, par):
+        n = NormalCoords(0.3, 0.2)
+        g0 = el.g0_from_nome(dyn.nome_from_action(n.x, par), par.g)
+        with pytest.raises(OverflowError, match=re.escape(f"range at t = {t}, g0 = {g0}") + "$"):
+            dyn.normal_flow(n, t, par)
 
     def test_energy_constant_along_flow(self, par):
         n0 = NormalCoords(0.5, 0.35)
@@ -684,78 +594,7 @@ class TestStableChart:
         # both members of every conjugate pair in complex arithmetic: axis
         # points, signed zeros, radii down to 1e-200, points next to the
         # poles and outside the disk
-        rng = random.Random(10_007)
-        for i in range(20_000):
-            par = SCAN_PARAMS[i % 3]
-            p, q = _stable_scan_point(rng, i)
-            got = _outcome_state(dyn.stable_scaled_state, p, q, par)
-            assert got == _outcome_state(_stable_scaled_state_conjugate_pairs, p, q, par)
-        for p, q in ((1.0 - 4.9e-10, 0.0), (-1.0 + 5.1e-10, 1e-12), (0.0, 1.0 - 5e-10)):
-            got = _outcome_state(dyn.stable_scaled_state, p, q, SCAN_PARAMS[0])
-            assert got == _outcome_state(_stable_scaled_state_conjugate_pairs, p, q, SCAN_PARAMS[0])
-
-
-def _stable_scan_point(rng, i):
-    kind = i % 8
-    if kind == 0:
-        r = math.sqrt(rng.uniform(0.0, 0.99))
-        return rng.choice((r, -r, 0.0, -0.0)), rng.choice((0.0, -0.0))
-    if kind == 1:
-        r = math.sqrt(rng.uniform(0.0, 0.99))
-        return rng.choice((0.0, -0.0)), rng.choice((r, -r))
-    if kind == 2:
-        r, a = 10 ** rng.uniform(-200, 0), rng.uniform(-math.pi, math.pi)
-        return r * math.cos(a), r * math.sin(a)
-    if kind == 3:
-        # |1 - w^2| just below the pole threshold at w = +-1 (beyond it the
-        # sums run to the term cap, as the boundary cases below do)
-        return rng.choice((1.0, -1.0)) * (1.0 - 10 ** rng.uniform(-13, -9.31)), rng.uniform(-1e-10, 1e-10)
-    if kind == 4:
-        return rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
-    r, a = math.sqrt(rng.uniform(0.0, 0.9)), rng.uniform(-math.pi, math.pi)
-    return r * math.cos(a), r * math.sin(a)
-
-
-def _outcome_state(fn, *args):
-    try:
-        s = fn(*args)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        return type(exc).__name__
-    return s.B.hex(), s.beta.hex()
-
-
-def _stable_scaled_state_conjugate_pairs(p, q, par):
-    """The stable chart as it summed each conjugate pair w, conj(w) in
-    complex arithmetic and checked the imaginary parts cancelled."""
-    xs = p * p + q * q
-    if not xs < 1.0:
-        raise ValueError(f"stable sums require p'^2 + q'^2 < 1, got {xs}")
-    w0 = complex(p, q)
-    s_sum = 0 + 0j
-    r_sum = 0 + 0j
-    rho_pow = 1.0
-    sign = 1.0
-    for _ in range(dyn._MAX_TERMS):
-        w = rho_pow * w0
-        wc = w.conjugate()
-        for den in (1.0 - w * w, 1.0 - wc * wc):
-            if abs(den) < dyn._POLE_EPS:
-                raise ValueError("stable sum too close to a pole")
-        s_sum += sign * (cmath.atanh(w) - cmath.atanh(wc))
-        r_sum += sign * (w / (1.0 - w * w) + wc / (1.0 - wc * wc))
-        rho_pow *= xs
-        sign = -sign
-        if rho_pow * abs(w0) < dyn._TERM_RTOL * (1.0 + abs(s_sum) + abs(r_sum)):
-            break
-    else:
-        raise RuntimeError("stable sums did not converge within the term cap")
-    g0s = el.g0_from_nome(-xs, par.g)
-    s_val = 4j * s_sum
-    r_val = -4.0 * par.I * g0s * r_sum
-    scale = max(1.0, abs(s_val), abs(r_val))
-    if abs(s_val.imag) > 1e-12 * scale or abs(r_val.imag) > 1e-12 * scale:
-        raise ArithmeticError("conjugate-pair sums left a non-cancelling imaginary part")
-    return PhaseState(B=r_val.real, beta=s_val.real)
+        pins.check("stable_scaled_state/scan")
 
 
 class TestSignedNomeEnergy:
@@ -763,29 +602,10 @@ class TestSignedNomeEnergy:
         # bit for bit, or the same error type, against the form that took
         # the libration product for x' >= 0 and a separate oscillation
         # product with a sign flag for x' < 0
-        rng = random.Random(10_009)
-        for i in range(20_000):
-            par = SCAN_PARAMS[i % 3]
-            kind = i % 5
-            if kind == 0:
-                x = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-300, -3) * par.action_scale
-            elif kind == 1:
-                x = rng.choice((0.0, -0.0))
-            elif kind == 2:
-                # out past the negative saturation and the positive bound
-                x = rng.uniform(-0.2, 0.4) * par.action_scale
-            else:
-                x = dyn.action_from_nome(rng.uniform(-0.5, 0.5), par)
-            got = _outcome_hex(dyn.normal_energy, x, par)
-            assert got == _outcome_hex(_normal_energy_two_branch, x, par)
+        pins.check("normal_energy/signed_scan")
 
     def test_negative_nome_matches_the_oscillation_product(self):
-        rng = random.Random(10_011)
-        for i in range(20_000):
-            par = SCAN_PARAMS[i % 3]
-            xs = 10 ** rng.uniform(-300, 0) * 0.998 if i % 2 else rng.uniform(0.0, 0.998)
-            want = -par.action_scale * par.g * xs * _energy_product_with_sign(xs, 1.0)
-            assert dyn.energy_from_nome(-xs, par).hex() == want.hex()
+        pins.check("energy_from_nome/negative")
         assert dyn.energy_from_nome(-0.0, PendulumParams(1.0, 1.0)).hex() == (-0.0).hex()
 
     def test_product_cap_raises(self, par):
@@ -812,38 +632,7 @@ class TestSignedNomeEnergy:
     def test_overflow_names_the_nome(self):
         # a finite libration energy keeps the product's bits; one past the
         # largest float (above x' = 0.9862 at I = g = 1) raises, naming x'
-        rng = random.Random(14_007)
-        overflows = 0
-        for i in range(600):
-            par = SCAN_PARAMS[i % 3]
-            x = rng.uniform(0.984, 0.99)
-            want = par.action_scale * par.g * x * _energy_product_with_sign(x, -1.0)
-            if want == math.inf:
-                overflows += 1
-                with pytest.raises(OverflowError, match=f"^energy exceeds the float range at x' = {re.escape(repr(x))}$"):
-                    dyn.energy_from_nome(x, par)
-            else:
-                assert dyn.energy_from_nome(x, par).hex() == want.hex()
-        assert 100 < overflows < 500
-
-
-def _energy_product_with_sign(xs, sign):
-    prod = 1.0
-    odd = xs
-    for _ in range(1, dyn._MAX_TERMS):
-        prod *= ((1.0 + odd * xs) / (1.0 + sign * odd)) ** 8
-        odd *= xs * xs
-        if odd < dyn._TAIL_EPS:
-            break
-    return prod
-
-
-def _normal_energy_two_branch(x, par):
-    x_prime = dyn.nome_from_action(x, par)
-    if x_prime >= 0.0:
-        return par.action_scale * par.g * x_prime * _energy_product_with_sign(x_prime, -1.0)
-    xs = -x_prime
-    return -par.action_scale * par.g * xs * _energy_product_with_sign(xs, 1.0)
+        pins.check("energy_from_nome/overflow")
 
 
 class TestReferenceIntegrator:
@@ -867,28 +656,7 @@ class TestReferenceIntegrator:
     def test_pinned_endpoints(self):
         # endpoints of seeded forward, backward and t = 0 solves, by float
         # hex, as computed when the endpoint had its own integration path
-        rng = random.Random(8501)
-        for i, (B_hex, beta_hex) in enumerate(RK_ENDPOINTS):
-            par = PendulumParams(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0))
-            state = PhaseState(rng.uniform(-3.0, 3.0), rng.uniform(-3.5, 3.5))
-            t = (0.0, rng.uniform(-15.0, 0.0), rng.uniform(0.0, 15.0))[i % 3]
-            tol = 10.0 ** rng.uniform(-12.0, -8.0)
-            end = dyn.rk_oracle(state, par, t, tol)
-            assert (end.B.hex(), end.beta.hex()) == (B_hex, beta_hex)
-
-
-RK_ENDPOINTS = [
-    ("0x1.a18824e034848p+0", "-0x1.e33baa0403678p-2"),  # t = 0
-    ("-0x1.041148d469cbfp+1", "0x1.e6487f741b8aap+2"),  # t = -12
-    ("-0x1.c986be2f36060p+0", "-0x1.f071a332ea598p+3"),  # t = 7.27
-    ("-0x1.59fc89e0c4946p+0", "-0x1.9f9541cdb7d7cp+0"),  # t = 0
-    ("0x1.81c6e9cb505ccp+3", "-0x1.8fbf8eaa4de7bp+1"),  # t = -10.2
-    ("0x1.bd5310fb35b52p+0", "-0x1.c9ea8bf48853ap+1"),  # t = 2.09
-    ("-0x1.8bc8faaaa4822p+0", "-0x1.ea4c3a4daca95p+0"),  # t = 0
-    ("-0x1.3c71982ca651ep+2", "0x1.4e3d7c9349c0cp+1"),  # t = -9.68
-    ("-0x1.489536cce7e1cp+1", "0x1.cac4b385d6b10p+1"),  # t = 10.9
-    ("-0x1.359ddd538f182p+1", "0x1.d05568154374cp+0"),  # t = 0
-]
+        pins.check("rk_oracle/endpoints")
 
 
 class TestTrajectory:
@@ -938,6 +706,8 @@ class TestTrajectory:
     (lambda v, par: dyn.stable_state(0.1, v, par), math.nan),
     (lambda v, par: dyn.factorization_check(0.1, v, par), math.inf),
     (lambda v, par: dyn.rk_oracle(PhaseState(1.0, 0.0), par, v), math.nan),
+    (lambda v, par: dyn.wrap_angle(v), math.inf),
+    (lambda v, par: dyn.wrap_angle(v), math.nan),
 ])
 def test_non_finite_time_or_gamma_is_named(call, value, par):
     with pytest.raises(ValueError, match=f"got {value}$"):
@@ -1016,85 +786,17 @@ class TestTimeGrid:
             assert len(dyn._time_grid(0.0, t1, dt)) == n + 1
 
 
-def _sha(lines) -> str:
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-def _normal_trajectory_digest(h: float, par: PendulumParams) -> str:
-    recs = dyn.trajectory("normal", Modulus.from_h(h), par, 0.0, 10.0, 0.05)
-    return _sha(f"{r.t!r} {r.B!r} {r.beta!r} {r.energy!r}" for r in recs)
-
-
-def _outcome(fn, *args) -> str:
-    try:
-        return repr(fn(*args))
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _map_points(par: PendulumParams, seed: int, count: int):
-    """Seeded normal coordinates over |x'| <= 0.5: uneven splits of the
-    action, random signs, and one point in ten on an axis."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        x = dyn.action_from_nome(rng.uniform(-0.5, 0.5), par)
-        if rng.random() < 0.1:
-            root = math.sqrt(par.action_scale) * rng.uniform(-0.7, 0.7)
-            yield NormalCoords(root, 0.0) if rng.random() < 0.5 else NormalCoords(0.0, root)
-            continue
-        p = math.copysign(math.sqrt(abs(x)) * rng.uniform(0.25, 4.0), rng.uniform(-1, 1))
-        yield NormalCoords(p, x / p)
-
-
-def _map_digest(par: PendulumParams, seed: int, count: int) -> str:
-    def phase(n):
-        state = dyn.canonical_from_normal(n, par)
-        return state, dyn.hamiltonian(state, par)
-
-    return _sha(" ".join((
-        repr(n.p), repr(n.q),
-        _outcome(dyn.nome_from_action, n.x, par),
-        _outcome(phase, n),
-        _outcome(dyn.normal_energy, n.x, par),
-        _outcome(dyn.jacobian_det, n, par),
-    )) for n in _map_points(par, seed, count))
-
-
-PARAMS = {"unit": PendulumParams(I=1.0, g=1.0), "b": PendulumParams(I=0.37, g=2.3)}
-
-
 class TestPinnedBytes:
     """Outputs the CLI digests do not cover, pinned bit for bit: the normal
     trajectory and the canonical map, with their errors."""
 
-    TRAJECTORY = {
-        (1e-6, "unit"):
-            "040debaee5d9f26267866f8cf326b0cecb5c0f503e8f67c6659825ac1c08210e",
-        (0.3, "unit"):
-            "59d277cdddfbdf6324d2e04122c1f27eab7e021a2624098ecf1da835a0d9d132",
-        (0.9, "unit"):
-            "1700b35c1909d67562dad25ac96646bf2a9447a76e7edf119d5b6ee935167b38",
-        (1e-6, "b"):
-            "1b80c6b71fb22f656dcf5f5d4e48c76dc018d1d80a1ddcb3b277f7313c9348da",
-        (0.3, "b"):
-            "8988b9aa8f9eef1da7a1f7b901af92e9fd9a848ce6e9c5fa083023c38938fff4",
-        (0.9, "b"):
-            "d3c2072c6bd1606056b1fbf8d6249b340035cd9a6b6fcd1cbf6a8fd4867e7510",
-    }
-    # seed of the points, digest
-    MAP = {
-        "unit": (60, "821453474d1a6a2873c06a5e98e3311a17e8017dbd9224a63313179ab82dd4bc"),
-        "b": (61, "ddc1dcdc0aa7d68e2b209a781b704a8635318b8f6192092c496d5e1efa199d3e"),
-    }
-
-    @pytest.mark.parametrize("h,which", sorted(TRAJECTORY))
+    @pytest.mark.parametrize("h,which", sorted(pins.NORMAL_TRAJECTORIES))
     def test_normal_trajectory(self, h, which):
-        assert _normal_trajectory_digest(h, PARAMS[which]) == self.TRAJECTORY[(h, which)]
+        pins.check(pins.NORMAL_TRAJECTORIES[h, which])
 
-    @pytest.mark.parametrize("which", sorted(MAP))
+    @pytest.mark.parametrize("which", sorted(pins.MAP_SEEDS))
     def test_map_outputs(self, which):
-        seed, digest = self.MAP[which]
-        assert _map_digest(PARAMS[which], seed, 100) == digest
+        pins.check(f"map/{which}")
 
 
 class TestNomeCache:
@@ -1180,82 +882,13 @@ class TestNomeCache:
         assert dyn._action_orbit.cache_info().currsize == 4
 
 
-def _rescale_factor_uncached(x_prime, par):
-    """The rescale a(x') as it was computed on its own, keyed on the nome."""
-    return math.sqrt(par.action_scale * dyn._rescale_sq(x_prime)[0])
-
-
-def _canonical_from_nome_and_rescale(n, par):
-    """canonical_from_normal from separate nome and rescale lookups."""
-    a = _rescale_factor_uncached(newton_nome(n.x, par), par)
-    return dyn.hyperbolic_state(n.p / a, n.q / a, par)
-
-
-def _normal_flow_from_nome_and_rate(n, t, par):
-    """normal_flow from separate nome and rate lookups."""
-    e = math.exp(el.g0_from_nome(newton_nome(n.x, par), par.g) * t)
-    return NormalCoords(p=n.p / e, q=n.q * e)
-
-
 class TestActionOrbit:
     """One record per action gives the bits that separate, uncached nome,
     rescale and rate lookups gave, wherever Newton answered."""
 
-    @staticmethod
-    def points(par, rng):
-        """Normal coordinates: the action 0, -0.0, both ends of the range and
-        their float neighbours on the p axis, then seeded actions, tiny, past
-        the range and inside it, split unevenly with random signs."""
-        scale = par.action_scale
-        edges = [0.0, -0.0]
-        for end in dyn._action_range():
-            for direction in (-math.inf, math.inf):
-                x = end * scale
-                for _ in range(4):
-                    edges.append(x)
-                    x = math.nextafter(x, direction)
-        yield from (NormalCoords(x, 1.0) for x in edges)
-        for i in range(10_000 - len(edges)):
-            kind = i % 4
-            if kind == 0:
-                x = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-300, -2) * scale
-            elif kind == 1:
-                x = rng.uniform(-0.2, 0.4) * scale
-            else:
-                x = dyn.action_from_nome(rng.uniform(-0.5, 0.5), par)
-            split = rng.choice((1.0, -1.0)) * math.exp(rng.uniform(-3.0, 3.0))
-            root = math.sqrt(abs(x))
-            yield NormalCoords(root * split, math.copysign(root, x) / split)
-
     @pytest.mark.parametrize("which", sorted(PARAMS))
     def test_bits_match_separate_lookups(self, which):
-        par = PARAMS[which]
-        rng = random.Random(14_005)
-        answered = 0
-        for n in self.points(par, rng):
-            want = _outcome_hex(newton_nome, n.x, par)
-            if want == "RuntimeError: nome inversion did not converge":
-                continue
-            answered += 1
-            t = rng.uniform(-5.0, 5.0) / par.g
-            assert _outcome_hex(dyn.nome_from_action, n.x, par) == want, n
-            assert _outcome_hex(dyn.canonical_from_normal, n, par) == _outcome_hex(
-                _canonical_from_nome_and_rescale, n, par), n
-            assert _outcome_hex(dyn.normal_flow, n, t, par) == _outcome_hex(
-                _normal_flow_from_nome_and_rate, n, t, par), (n, t)
-        assert answered > 9_900
-
-
-ORBITS = ((1e-8, "unit", 0.0), (1e-3, "b", 2.5), (0.05, "unit", 2.5), (0.3, "b", 0.0),
-          (0.6, "unit", 0.0), (0.9, "b", 2.5), (0.97, "unit", 2.5), (0.99, "b", 0.0))
-
-
-def _trajectories_digest(method: str) -> str:
-    lines = []
-    for h, which, t0 in ORBITS:
-        recs = dyn.trajectory(method, Modulus.from_h(h), PARAMS[which], t0, t0 + 10.0, 0.01)
-        lines += [f"{r.t!r} {r.B!r} {r.beta!r} {r.energy!r}" for r in recs]
-    return _sha(lines)
+        pins.check(f"action_orbit/{which}")
 
 
 def _rk_batch_per_call_constants(state0, par, times, tol):
@@ -1273,22 +906,15 @@ class TestOrbitCaches:
     """The per-orbit invariants (g0, the action's record, the AGM pass) are
     computed once per orbit, and every trajectory keeps its bits."""
 
-    # SHA-256 of the 8 orbits' 1001-sample records, recorded before the
-    # caches went in
-    DIGESTS = {
-        "closed": "73dbc7c22920366b0cbf39b227fe7fdab674c06cff3476f9ce764bb9b4f2aefa",
-        "series": "babfae8930cfdbf906c5c09114665e20a75e2be0c8c67086b37d6a8462ab3df2",
-        "normal": "b66b7252f8261d5dece50fb7b78e0a2c4506a9376f1100926830aa6a8addac94",
-    }
-
-    @pytest.mark.parametrize("method", sorted(DIGESTS))
+    @pytest.mark.parametrize("method", ["closed", "normal", "series"])
     def test_trajectory_bytes(self, method):
+        # the pins were recorded before the caches went in
         el._agm.cache_clear()
         el._g0_product.cache_clear()
         dyn._action_orbit.cache_clear()
-        assert _trajectories_digest(method) == self.DIGESTS[method]
+        pins.check(f"orbits/{method}")
         # and again from warm caches
-        assert _trajectories_digest(method) == self.DIGESTS[method]
+        pins.check(f"orbits/{method}")
 
     def test_rk_bytes(self):
         # DOP853's last bits belong to the installed scipy and numpy, so the
@@ -1363,7 +989,7 @@ class TestNormalLongTimes:
         for h in (1e-8, 0.3, 0.9):
             mod = Modulus.from_h(h)
             x = el.nome_from_h(mod)
-            a = _rescale_factor_uncached(x, par)
+            a = math.sqrt(par.action_scale * dyn._rescale_sq(x)[0])
             start = NormalCoords(a * math.sqrt(x), a * math.sqrt(x))
             for t in (0.0, 3.5, -3.5, 100.0, -100.0, 600.0 / el.g0_from_nome(x, par.g)):
                 got = dyn.trajectory("normal", mod, par, t, t, 1.0)[0]

@@ -1,7 +1,6 @@
 """Elliptic kernel tests: quadrature and ODE oracles, classical identities,
 domain errors."""
 
-import hashlib
 import math
 import random
 import re
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
+import pins
 from pendnf import elliptic as el
 from pendnf.elliptic import Modulus
 
@@ -70,19 +70,11 @@ class TestCompleteIntegrals:
             with pytest.raises(ValueError):
                 el.complete_e(bad)
 
-    # SHA-256 of ",".join(v.hex()) over GRID, recorded while K and E still
-    # both summed the squared half-differences in the shared AGM loop
-    GRID = [m for m in [i / 1000 for i in range(1000)] + [1 - 10.0**-k for k in range(4, 17)]
-            + [10.0**-k for k in range(1, 300, 7)] if m < 1]
-    BITS = {
-        "complete_k": "2c59ef2c9f85e4b82c1ef91012c015375911d79f8a0b1689e241b3d6dcbf58e0",
-        "complete_e": "be8218a6d1c932322b54327f8eeaad3b32b4abdf7d778e790d8dcdc1a2498583",
-    }
-
-    @pytest.mark.parametrize("name", sorted(BITS))
+    @pytest.mark.parametrize("name", ["complete_e", "complete_k"])
     def test_pinned_bits(self, name):
-        text = ",".join(getattr(el, name)(m).hex() for m in self.GRID)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.BITS[name]
+        # recorded while K and E still both summed the squared
+        # half-differences in the shared AGM loop
+        pins.check(f"{name}/grid")
 
 
 class TestJacobiFunctions:
@@ -354,19 +346,7 @@ def _agm_flagged(m, with_sum):
 class TestAgmSum:
     def test_k_and_e_bits_match_the_flagged_agm(self):
         # a and b never read the sum, so one loop serves K and E
-        rng = random.Random(13_001)
-        ms = [0.0, 5e-324, 1e-300, 1e-16, 1e-15, 0.5, 1.0 - 2.0**-53]
-        for i in range(12_000):
-            ms.append((rng.random(), 1.0 - 10 ** rng.uniform(-16.0, 0.0),
-                       10 ** rng.uniform(-320.0, 0.0))[i % 3])
-        for m in ms:
-            if not 0.0 <= m < 1.0:
-                continue
-            (a, b, _), _ = _agm_flagged(m, False)
-            assert el.complete_k(m).hex() == (math.pi / (2.0 * (0.5 * (a + b)))).hex(), m
-            (a, _, total), _ = _agm_flagged(m, True)
-            assert el.complete_e(m).hex() == (math.pi / (2.0 * a) * (1.0 - total)).hex(), m
-        assert len(ms) > 10_000
+        pins.check("agm/k_and_e")
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=5e-324, max_value=1.0 - 2.0**-53))
@@ -393,53 +373,18 @@ def _landen_loop(m):
     return a, tuple(reversed(ratios)), steps
 
 
-def _two_loop_kernel(u, m):
-    """K, E and (am, sn, cn, dn) as they were computed from the two loops,
-    with jacobi_elliptic's early return for an empty descent."""
-    (a, b, total), _ = _agm_flagged(m, True)
-    k, e = math.pi / (2.0 * (0.5 * (a + b))), math.pi / (2.0 * a) * (1.0 - total)
-    a_n, ratios, _ = _landen_loop(m)
-    b_0 = math.sqrt((1.0 - m) * (1.0 + m))
-    if not ratios:
-        sn, cn = math.sin(u), math.cos(u)
-        return k, e, u, sn, cn, math.hypot(b_0, m * cn)
-    phi = math.ldexp(a_n * u, len(ratios))
-    for ratio in ratios:
-        phi_one = phi
-        phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
-    sn, cn = math.sin(phi), math.cos(phi)
-    dn = cn / math.cos(phi_one - phi) if abs(cn) >= 0.25 else math.hypot(b_0, m * cn)
-    return k, e, phi, sn, cn, dn
-
-
-def _agm_moduli(seed, count):
-    """The edges, then seeded moduli: uniform, near 1 and down to 5e-324."""
-    rng = random.Random(seed)
-    ms = [0.0, 5e-324, 1e-300, 1e-16, 1e-15, 2e-15, 0.5, 1.0 - 2.0**-53]
-    for i in range(count):
-        ms.append((rng.random(), 1.0 - 10 ** rng.uniform(-16.0, 0.0),
-                   10 ** rng.uniform(-323.0, 0.0))[i % 3])
-    return [m for m in ms if 0.0 <= m < 1.0]
-
-
 class TestOneAgmPass:
     """One cached AGM pass per modulus serves K, E and the Landen descent
     with the bits of the two loops it replaced."""
 
     def test_bits_match_the_two_loops(self):
-        rng = random.Random(13_003)
-        ms = _agm_moduli(13_005, 100_000)
-        assert len(ms) > 100_000
-        for i, m in enumerate(ms):
-            u = (0.0, -0.0, rng.uniform(-3.0, 3.0), rng.uniform(-1e6, 1e6))[i % 4]
-            got = (el.complete_k(m), el.complete_e(m)) + el.jacobi_elliptic(u, m)
-            assert [v.hex() for v in got] == [v.hex() for v in _two_loop_kernel(u, m)], (u, m)
+        pins.check("agm/one_pass")
 
     def test_agm_stop_never_after_the_landen_stop(self):
         # so one loop can record K and E at the first stop and run on to the
         # second; the Landen stop comes at the same step or one later
         lags = set()
-        for m in _agm_moduli(13_007, 20_000):
+        for m in pins.agm_moduli(13_007, 20_000):
             lags.add(_landen_loop(m)[2] - _agm_flagged(m, True)[1])
         assert lags == {0, 1}
 
@@ -456,78 +401,28 @@ class TestOneAgmPass:
     def test_types_follow_the_argument(self):
         # E reads 0.5 m^2 from the cache, a numpy scalar for a numpy m: the
         # cache is keyed on m's type too, so neither type leaks to the other
+        ms = (0.3, np.float64(0.3), 0.3, 0, np.float64(0.0), 0.0)
         el._agm.cache_clear()
-        for m in (0.3, np.float64(0.3), 0.3, 0, np.float64(0.0), 0.0):
-            got = el.complete_k(m), el.complete_e(m)
-            want = _two_loop_kernel(1.0, m)[:2]
-            assert [(type(v), v.hex()) for v in got] == [(type(v), v.hex()) for v in want], m
+        # a new type of m misses, as a new value does
+        calls = [(m,) for m in ms]
+        assert _cached_and_fresh(el._agm, lambda m: (el.complete_k(m), el.complete_e(m)), calls) == (7, 5)
 
 
-def _jacobi_elliptic_uncached(u, m):
-    """jacobi_elliptic as it was before the AGM pass was cached: the scales
-    rebuilt on every call, the clamp written with max/min.  Its one descent
-    path seeds the phase with ldexp(a_n u, n) also when n = 0, so am is a
-    float for every u (an int u with m below AGM resolution once came back
-    as the int itself)."""
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"modulus must lie in [0, 1), got {m}")
-    if not math.isfinite(u):
-        raise ValueError(f"argument must be finite, got {u}")
-    a_prev, b_prev = 1.0, math.sqrt((1.0 - m) * (1.0 + m))
-    a_list = [1.0]
-    c_list = [m]
-    for _ in range(el._AGM_MAX_ITER):
-        if c_list[-1] <= el._AGM_RTOL * a_list[-1]:
-            break
-        a_list.append(0.5 * (a_prev + b_prev))
-        c_list.append(0.5 * (a_prev - b_prev))
-        a_prev, b_prev = a_list[-1], math.sqrt(a_prev * b_prev)
-    n = len(a_list) - 1
-    phi = math.ldexp(a_list[n] * u, n)
-    phi_one = phi
-    for i in range(n, 0, -1):
-        s = c_list[i] / a_list[i] * math.sin(phi)
-        s = max(-1.0, min(1.0, s))
-        if i == 1:
-            phi_one = phi
-        phi = 0.5 * (phi + math.asin(s))
-    am = phi
-    sn = math.sin(am)
-    cn = math.cos(am)
-    if n and abs(cn) >= 0.25:
-        dn = cn / math.cos(phi_one - am)
-    else:
-        dn = math.hypot(math.sqrt((1.0 - m) * (1.0 + m)), m * cn)
-    return am, sn, cn, dn
-
-
-def _g0_from_nome_uncached(x_prime, g=1.0):
-    """g0_from_nome as it was before the product was cached."""
-    if not -1.0 < x_prime < 1.0:
-        raise ValueError(f"nome must satisfy |x'| < 1, got {x_prime}")
-    prod = 1.0
-    xn = 1.0
-    for _ in range(10_000):
-        xn *= x_prime
-        if abs(xn) < 1e-18:
-            break
-        f = (1.0 + xn) / (1.0 - xn)
-        prod *= f * f
-        if prod == math.inf:
-            raise OverflowError(f"g0 exceeds the float range at x' = {x_prime}")
-    else:
-        raise RuntimeError(f"g0 product did not converge at x' = {x_prime}")
-    return g * prod
-
-
-def _outcome_bits(fn, *args):
-    """The result as (type, float hex) per value, or the error raised."""
-    try:
+def _cached_and_fresh(cache, fn, calls):
+    """Assert that fn's calls in turn through the cache give the values, and
+    their types, or the errors of a fresh evaluation from an empty cache;
+    return the cache's hits and misses over the calls in turn."""
+    def typed(*args):
         result = fn(*args)
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        return type(exc).__name__, str(exc)
-    values = result if isinstance(result, tuple) else (result,)
-    return tuple((type(v).__name__, float(v).hex()) for v in values)
+        return [(type(v).__name__, v) for v in (result if isinstance(result, tuple) else (result,))]
+
+    before = cache.cache_info()
+    got = [pins.outcome(typed, *args) for args in calls]
+    after = cache.cache_info()
+    for args, outcome in zip(calls, got):
+        cache.cache_clear()
+        assert outcome == pins.outcome(typed, *args), args
+    return after.hits - before.hits, after.misses - before.misses
 
 
 class TestKernelCaches:
@@ -541,7 +436,7 @@ class TestKernelCaches:
         # 12 recurring moduli, drawn at random, against a cache of 8: entries
         # are evicted and recomputed, and hits come from every position
         pool = [rng.random() for _ in range(12)]
-        before = el._agm.cache_info()
+        calls = []
         for i in range(12_000):
             if i % 5 == 0:
                 m = self.EDGE_MODULI[i // 5 % len(self.EDGE_MODULI)]
@@ -551,19 +446,18 @@ class TestKernelCaches:
                 m = rng.choice(pool)
             u = (0.0, -0.0, 3, rng.uniform(-10.0, 10.0), rng.uniform(-1e8, 1e8),
                  rng.uniform(-1e-300, 1e-300), math.inf)[i % 7]
-            args = (u, m)
-            assert _outcome_bits(el.jacobi_elliptic, *args) == _outcome_bits(
-                _jacobi_elliptic_uncached, *args), args
-        after = el._agm.cache_info()
-        assert after.hits - before.hits > 1000
-        assert after.misses - before.misses > 1000
+            calls.append((u, m))
+        hits, misses = _cached_and_fresh(el._agm, el.jacobi_elliptic, calls)
+        assert hits > 1000 and misses > 1000
+        # am is a float for an int u also with m below AGM resolution
+        assert {type(v) for m in (0, 0.0, 1e-16) for v in el.jacobi_elliptic(3, m)} == {float}
 
     def test_g0_bits_match_uncached(self):
         rng = random.Random(12)
         pool = [rng.uniform(-0.9, 0.9) for _ in range(24)]
         edges = (0.0, -0.0, 0, False, 5e-324, -5e-324, 0.5, -0.5, np.float64(0.3), 0.3,
                  np.float64(0.0), 0.9999, 1.0, math.nan)
-        before = el._g0_product.cache_info()
+        calls = []
         for i in range(12_000):
             if i % 4 == 0:
                 x = edges[i // 4 % len(edges)]
@@ -572,12 +466,9 @@ class TestKernelCaches:
             else:
                 x = rng.choice(pool)
             g = (1.0, 1, 2, 0.0, -0.0, rng.uniform(0.01, 100.0), np.float64(0.7))[i % 7]
-            args = (x, g)
-            assert _outcome_bits(el.g0_from_nome, *args) == _outcome_bits(
-                _g0_from_nome_uncached, *args), args
-        after = el._g0_product.cache_info()
-        assert after.hits - before.hits > 1000
-        assert after.misses - before.misses > 1000
+            calls.append((x, g))
+        hits, misses = _cached_and_fresh(el._g0_product, el.g0_from_nome, calls)
+        assert hits > 1000 and misses > 1000
 
     @pytest.mark.parametrize("cache,bound,call", [
         (el._agm, 8, lambda i: el.jacobi_elliptic(1.0, i / 1000.0)),

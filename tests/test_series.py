@@ -4,12 +4,12 @@ Horner composition, Lagrange inversion, factor-by-factor products)."""
 
 import json
 import math
-import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pins
 from pendnf import series
 from pendnf.series import RationalSeries as RS, product_series
 
@@ -401,28 +401,14 @@ class TestSerialization:
         # one Horner loop from the int 0: the exact branch's values for
         # Fraction and int arguments, and for a float x the float branch's
         # bits, which rounded each coefficient before adding it
-        rng = random.Random(4242)
-        for _ in range(5000):
-            s = RS.from_coeffs(
-                [F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(rng.randint(1, 40))]
-            )
-            x = rng.choice((rng.uniform(-2.0, 2.0), 0.0, -0.0, rng.choice((1, -1)) * 10 ** rng.uniform(-300, 300)))
-            assert s(x).hex() == _horner_float(s, x).hex()
-            r = F(rng.randint(-9, 9), rng.randint(1, 9))
-            n = rng.randint(-5, 5)
+        for s, _, r, n in pins.horner_cases():
             assert (s(r), s(n)) == (_horner_exact(s, r), _horner_exact(s, n))
             assert type(s(n)) is F
+        pins.check("rational_series/float_horner")
 
 
 def _horner_exact(s, x):
     acc = F(0)
     for c in reversed(s.coeffs):
         acc = acc * x + c
-    return acc
-
-
-def _horner_float(s, x):
-    acc = 0.0
-    for c in reversed(s.coeffs):
-        acc = acc * x + float(c)
     return acc
