@@ -373,6 +373,8 @@ def normal_flow(n: NormalCoords, t: float, par: PendulumParams) -> NormalCoords:
     g0 = _action_orbit(n.x, par)[2]
     try:
         e = math.exp(g0 * t)
+        if e == math.inf:       # g0 t itself overflowed to inf
+            raise OverflowError
         return NormalCoords(n.p / e, n.q * e)
     except (OverflowError, ZeroDivisionError):
         # exp overflows past g0 t = 709.78 and turns 0 below -745.13

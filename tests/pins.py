@@ -20,6 +20,7 @@ import contextlib
 import fnmatch
 import functools
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -56,14 +57,9 @@ def digest(lines, sep: str = "\n") -> str:
     return hashlib.sha256(sep.join(lines).encode()).hexdigest()
 
 
-def compute(key: str):
-    """The value the producer of key gives now."""
-    return PRODUCERS[key]()
-
-
 def check(key: str) -> None:
     """Assert that the producer of key reproduces the value recorded for it."""
-    got, want = compute(key), _stored().get(key)
+    got, want = PRODUCERS[key](), _stored().get(key)
     if got != want:             # not an assert: it must hold under python -O too
         raise AssertionError(f"{key}: recorded {want!r}, computed {got!r}; if the change is meant, "
                              f"`python tests/pins.py {key}` records it")
@@ -74,11 +70,12 @@ def _stored() -> dict:
     return json.loads(STORE.read_text())
 
 
-def _pin(key):
-    """Register fn, which returns or yields lines, as the producer of their
-    digest."""
+def _pin(key, *args):
+    """Register fn(*args) as the producer of key: the value is what fn
+    returns, or the digest of the lines it yields."""
     def register(fn):
-        PRODUCERS[key] = lambda: digest(fn())
+        lines = inspect.isgeneratorfunction(fn)
+        PRODUCERS[key] = lambda: digest(fn(*args)) if lines else fn(*args)
         return fn
     return register
 
@@ -187,17 +184,19 @@ def _orbits(method):
 
 
 for _args, _key in VERIFY.items():
-    PRODUCERS[_key] = functools.partial(_verify, *_args)
+    _pin(_key, *_args)(_verify)
 for _args, _key in NORMAL_TRAJECTORIES.items():
-    PRODUCERS[_key] = functools.partial(_normal_trajectory, *_args)
+    _pin(_key, *_args)(_normal_trajectory)
 for _which in MAP_SEEDS:
-    PRODUCERS[f"map/{_which}"] = functools.partial(_map, _which)
+    _pin(f"map/{_which}", _which)(_map)
 for _method in ("closed", "series", "normal"):
-    PRODUCERS[f"orbits/{_method}"] = functools.partial(_orbits, _method)
+    _pin(f"orbits/{_method}", _method)(_orbits)
 
 
+@_pin("rk_oracle/endpoints")
 def _rk_endpoints():
-    """Seeded forward, backward and t = 0 solves, by float hex."""
+    """Endpoints of seeded forward, backward and t = 0 solves, by float hex,
+    as computed when the endpoint had its own integration path."""
     rng = random.Random(8501)
     ends = []
     for i in range(10):
@@ -210,14 +209,16 @@ def _rk_endpoints():
     return ends
 
 
-PRODUCERS["rk_oracle/endpoints"] = _rk_endpoints
-
-
 K_E_GRID = [m for m in [i / 1000 for i in range(1000)] + [1 - 10.0**-k for k in range(4, 17)]
             + [10.0**-k for k in range(1, 300, 7)] if m < 1]
+
+
+def _k_e_grid(name):
+    return digest((getattr(el, name)(m).hex() for m in K_E_GRID), ",")
+
+
 for _name in ("complete_k", "complete_e"):
-    PRODUCERS[f"{_name}/grid"] = functools.partial(
-        lambda name: digest((getattr(el, name)(m).hex() for m in K_E_GRID), ","), _name)
+    _pin(f"{_name}/grid", _name)(_k_e_grid)
 
 
 def _exact(s, order):
@@ -225,14 +226,19 @@ def _exact(s, order):
     return digest((str(c) for c in s.coeffs), ",")
 
 
-# calU and W from the undecorated functions, so the reversion and
+# every exact table from the undecorated function, so the reversion and
 # composition run at exactly this order
-PRODUCERS["calU/200"] = lambda: _exact(nf.normal_energy_series.__wrapped__(200), 200)
-PRODUCERS["W/200"] = lambda: _exact(nf.stable_bundle.__wrapped__(200).normal_energy, 200)
+_pin("calU/200")(lambda: _exact(nf.normal_energy_series.__wrapped__(200), 200))
+_pin("W/200")(lambda: _exact(nf.stable_bundle.__wrapped__(200).normal_energy, 200))
+
+
+def _product(name, order):
+    return _exact(getattr(nf, name).__wrapped__(order), order)
+
+
 for _name in ("g0_series", "energy_series"):
     for _order in (240, 400):
-        PRODUCERS[f"{_name}/{_order}"] = functools.partial(
-            lambda name, order: _exact(getattr(nf, name).__wrapped__(order), order), _name, _order)
+        _pin(f"{_name}/{_order}", _name, _order)(_product)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +290,22 @@ def _series_state_float_range():
 
 @_pin("nome_from_action/negative_side")
 def _negative_side():
-    """Fresh solves near the saturated negative end of the map, as the
-    search that widened the bracket by 1.5 from the target solved them,
-    where its Newton converged."""
+    """Fresh solves, two thirds near the saturated negative end of the map:
+    where Newton alone converges, the bits or the range error of the search
+    that widened the bracket by 1.5 from the target; where it does not, the
+    bisection answers, inside the bracket [-_NOME_BOUND, 0]."""
     rng = random.Random(8401)
     stalled = 0
     for i in range(5000):
         par = SCAN_PARAMS[i % 3]
         x_prime = rng.uniform(-0.5, -0.25) if i % 3 else rng.uniform(-0.25, 0.0)
         x = dyn.action_from_nome(x_prime, par) * (1.0 + rng.uniform(-1e-3, 1e-3))
-        yield outcome(lambda: dyn._action_orbit.__wrapped__(x, par)[0])
-        stalled += outcome(newton_nome, x, par) == "RuntimeError: nome inversion did not converge"
+        line = outcome(lambda: dyn._action_orbit.__wrapped__(x, par)[0])
+        if outcome(newton_nome, x, par) == "RuntimeError: nome inversion did not converge":
+            stalled += 1
+            y = float(line)
+            assert -dyn._NOME_BOUND <= y <= 0.0, (x, y)
+        yield line
     # the inputs reach the solves that need the bisection
     assert stalled > 20, stalled
 
@@ -425,7 +436,7 @@ def _orbit_records(which):
 
 
 for _which in PARAMS:
-    PRODUCERS[f"action_orbit/{_which}"] = functools.partial(lambda which: digest(_orbit_records(which)), _which)
+    _pin(f"action_orbit/{_which}", _which)(_orbit_records)
 
 
 @_pin("agm/k_and_e")
@@ -438,7 +449,9 @@ def _k_and_e():
         ms.append((rng.random(), 1.0 - 10 ** rng.uniform(-16.0, 0.0),
                    10 ** rng.uniform(-320.0, 0.0))[i % 3])
     assert len(ms) > 10_000
-    return (outcome(lambda: (el.complete_k(m), el.complete_e(m))) for m in ms if 0.0 <= m < 1.0)
+    for m in ms:
+        if 0.0 <= m < 1.0:
+            yield outcome(lambda: (el.complete_k(m), el.complete_e(m)))
 
 
 @_pin("agm/one_pass")
@@ -457,7 +470,8 @@ def _one_agm_pass():
 def _float_horner():
     """Float evaluation as its own Horner branch did it, rounding each
     coefficient before adding it."""
-    return (outcome(s, x) for s, x, _, _ in horner_cases())
+    for s, x, _, _ in horner_cases():
+        yield outcome(s, x)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +489,7 @@ def main(argv: list[str]) -> int:
     changed, failed = [], []
     for key in keys:
         try:
-            value = compute(key)
+            value = PRODUCERS[key]()
         except Exception as exc:        # a producer's own check, e.g. an exit code
             failed.append(key)
             print(f"failed  {key}: {type(exc).__name__}: {exc}")
@@ -484,16 +498,13 @@ def main(argv: list[str]) -> int:
             changed.append(key)
             stored[key] = value
             print(f"changed {key}")
-    stale = sorted(set(stored) - set(PRODUCERS))
-    for key in stale:
-        print(f"stale   {key} (no producer)")
     if argv:
         if changed:
             STORE.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
         print(f"{len(changed)} of {len(keys)} keys rewritten, {len(failed)} failed")
         return 1 if failed else 0
     print(f"{len(changed)} of {len(keys)} keys differ from {STORE.name}, {len(failed)} failed; nothing rewritten")
-    return 1 if changed or failed or stale else 0
+    return 1 if changed or failed else 0
 
 
 if __name__ == "__main__":

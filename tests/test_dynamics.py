@@ -46,8 +46,6 @@ class TestHamiltonian:
         assert energy == pytest.approx(2e290 * 0.09 / 0.91, rel=1e-12)
 
     def test_bits_match_the_square_below_the_limit(self):
-        # where B^2 is finite the energy is the plain expression, bit for bit
-        # (B^2/(2I) itself may pass the largest float, for both)
         pins.check("hamiltonian/square_below_limit")
 
 
@@ -144,8 +142,6 @@ class TestSeriesState:
             dyn.series_state(1.0, 0.0, par)
 
     def test_matches_caller_side_flow_factors(self):
-        # bit for bit against the path where each caller formed g0 and the
-        # flow factors gamma = exp(g0 t), delta = 1/gamma and passed them in
         pins.check("series_state/flow_factors")
 
     @pytest.mark.parametrize("h", [0.3, 0.9])
@@ -179,17 +175,13 @@ class TestSeriesState:
             assert abs(got.beta - (want.beta + 2.0 * math.pi * k)) <= 1e-9 * max(1.0, abs(got.beta))
 
     def test_inside_the_float_range_unchanged(self, par):
-        # up to the largest |g0 t| with exp(g0 t) and 1/exp(-|g0 t|) finite,
-        # no period is taken off
         pins.check("series_state/float_range")
         bound = math.log(sys.float_info.max)
         for h in (0.3, 0.9):
             x = el.nome_from_h(Modulus.from_h(h))
             g0 = el.g0_from_nome(x, par.g)
-            # one step past the bound the flow factor overflows; the chart answers
+            # one step past the bound the chart still answers
             t = math.nextafter(bound / g0, math.inf)
-            with pytest.raises(OverflowError):
-                math.exp(g0 * t)
             assert all(math.isfinite(v) for v in dyn.series_state(x, t, par))
 
     def test_zero_nome_is_the_equilibrium_at_any_time(self, par):
@@ -300,10 +292,6 @@ class TestCanonicalMap:
                 assert dyn.nome_from_action(x, params) == pytest.approx(x_prime, abs=1e-15)
 
     def test_negative_side_matches_the_bracket_search(self):
-        # the bracket [-_NOME_BOUND, 0] gives the bits the widening search
-        # gave, or the same range error, two thirds of the actions near the
-        # saturated end of the map; where Newton alone does not converge the
-        # bisection answers instead
         pins.check("nome_from_action/negative_side")
 
     def test_negative_side_checks_the_bound_then_runs_newton(self, par, monkeypatch):
@@ -417,9 +405,10 @@ class TestNormalFlow:
             assert abs(via_normal.B - via_closed.B) < 1e-9
             assert abs(via_normal.beta - via_closed.beta) < 1e-9
 
-    @pytest.mark.parametrize("t", [800.0, 1e300, -800.0, -1e300])
-    def test_flow_factor_past_the_float_range_is_named(self, t, par):
-        n = NormalCoords(0.3, 0.2)
+    # at t = 1e308 and g = 2, g0 t itself overflows to inf
+    @pytest.mark.parametrize("t, g", [(800.0, 1.0), (1e300, 1.0), (-800.0, 1.0), (-1e300, 1.0), (1e308, 2.0)])
+    def test_flow_factor_past_the_float_range_is_named(self, t, g):
+        n, par = NormalCoords(0.3, 0.2), PendulumParams(1.0, g)
         g0 = el.g0_from_nome(dyn.nome_from_action(n.x, par), par.g)
         with pytest.raises(OverflowError, match=re.escape(f"range at t = {t}, g0 = {g0}") + "$"):
             dyn.normal_flow(n, t, par)
@@ -590,18 +579,11 @@ class TestStableChart:
             dyn.stable_scaled_state(math.sqrt(0.9959), 0.0, par)
 
     def test_matches_conjugate_pair_sums(self):
-        # bit for bit, or the same error type, against the path that summed
-        # both members of every conjugate pair in complex arithmetic: axis
-        # points, signed zeros, radii down to 1e-200, points next to the
-        # poles and outside the disk
         pins.check("stable_scaled_state/scan")
 
 
 class TestSignedNomeEnergy:
     def test_normal_energy_matches_the_two_branch_form(self):
-        # bit for bit, or the same error type, against the form that took
-        # the libration product for x' >= 0 and a separate oscillation
-        # product with a sign flag for x' < 0
         pins.check("normal_energy/signed_scan")
 
     def test_negative_nome_matches_the_oscillation_product(self):
@@ -630,8 +612,6 @@ class TestSignedNomeEnergy:
             dyn.energy_from_nome(0.9999, par)
 
     def test_overflow_names_the_nome(self):
-        # a finite libration energy keeps the product's bits; one past the
-        # largest float (above x' = 0.9862 at I = g = 1) raises, naming x'
         pins.check("energy_from_nome/overflow")
 
 
@@ -654,8 +634,6 @@ class TestReferenceIntegrator:
             dyn.rk_oracle(PhaseState(1.0, 0.0), par, 1.0, tol=1e-3)
 
     def test_pinned_endpoints(self):
-        # endpoints of seeded forward, backward and t = 0 solves, by float
-        # hex, as computed when the endpoint had its own integration path
         pins.check("rk_oracle/endpoints")
 
 
@@ -883,8 +861,7 @@ class TestNomeCache:
 
 
 class TestActionOrbit:
-    """One record per action gives the bits that separate, uncached nome,
-    rescale and rate lookups gave, wherever Newton answered."""
+    """One cached record per action serves the nome, the map and the flow."""
 
     @pytest.mark.parametrize("which", sorted(PARAMS))
     def test_bits_match_separate_lookups(self, which):

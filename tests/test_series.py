@@ -399,8 +399,7 @@ class TestSerialization:
 
     def test_evaluation_matches_the_two_branch_horner(self):
         # one Horner loop from the int 0: the exact branch's values for
-        # Fraction and int arguments, and for a float x the float branch's
-        # bits, which rounded each coefficient before adding it
+        # Fraction and int arguments, and the float branch's bits (the pin)
         for s, _, r, n in pins.horner_cases():
             assert (s(r), s(n)) == (_horner_exact(s, r), _horner_exact(s, n))
             assert type(s(n)) is F
