@@ -2,7 +2,8 @@
 trajectory sampling and canonical-map queries.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  Each call builds its parser from
+the command table, _COMMANDS, with arguments for the invoked subcommand only.
 """
 
 from __future__ import annotations
@@ -418,20 +419,7 @@ def _emit(text: str, output: str | None):
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pend-nf",
-        description="Pendulum normal-form toolkit: verification suites, exact "
-        "coefficient tables, trajectories and canonical-map queries.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--I", type=_positive_float, default=1.0, help="inertia moment (default 1)")
-    common.add_argument("--g", type=_positive_float, default=1.0, help="gravity rate (default 1)")
-    common.add_argument("--output", help="write to this path instead of stdout")
-
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+def _verify_arguments(p: argparse.ArgumentParser):
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--order", type=_positive_int, default=200, help="series order for exact checks (default 200)")
     p.add_argument("--tol", type=_positive_float, default=None,
@@ -440,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "stable_small_amplitude_frequency (1e-6) keep fixed bounds, and the "
                    "exact and sign checks ignore it")
 
-    p = sub.add_parser("coeffs", help="emit exact series coefficients")
+
+def _coeffs_arguments(p: argparse.ArgumentParser):
     p.add_argument("--series", choices=SERIES_NAMES, required=True)
     p.add_argument("--order", type=_positive_int, default=20)
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -451,7 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="gravity rate as an exact rational (with --physical)")
     p.add_argument("--output", help="write to this path instead of stdout")
 
-    p = sub.add_parser("trajectory", parents=[common], help="sample a libration trajectory")
+
+def _trajectory_arguments(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=TRAJECTORY_METHODS, required=True)
     orbit = p.add_mutually_exclusive_group(required=True)
     orbit.add_argument("--h", type=_positive_float, help="modulus h in (0, 1)")
@@ -461,19 +451,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=_positive_float, required=True)
     p.add_argument("--tol", type=_positive_float, default=1e-10, help="reference-integrator tolerance")
 
-    p = sub.add_parser("map", parents=[common], help="query the canonical map at normal coordinates (p, q)")
+
+def _map_arguments(p: argparse.ArgumentParser):
     p.add_argument("--p", type=_finite_float, required=True)
     p.add_argument("--q", type=_finite_float, required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    return parser
+
+
+# command -> (help line, takes the common --I/--g/--output first, argument
+# builder); the runner run_<command> is looked up per call, as _suite_* are
+_COMMANDS = {
+    "verify": ("run a verification suite", True, _verify_arguments),
+    "coeffs": ("emit exact series coefficients", False, _coeffs_arguments),
+    "trajectory": ("sample a libration trajectory", True, _trajectory_arguments),
+    "map": ("query the canonical map at normal coordinates (p, q)", True, _map_arguments),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = argparse.ArgumentParser(
+        prog="pend-nf",
+        description="Pendulum normal-form toolkit: verification suites, exact "
+        "coefficient tables, trajectories and canonical-map queries.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    # every command is listed, for the top-level help and its errors, but only
+    # the one argv[0] names gets its arguments (all of them where it names none)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for command, (help_line, common, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        if named not in (None, command):
+            continue
+        if common:
+            p.add_argument("--I", type=_positive_float, default=1.0, help="inertia moment (default 1)")
+            p.add_argument("--g", type=_positive_float, default=1.0, help="gravity rate (default 1)")
+            p.add_argument("--output", help="write to this path instead of stdout")
+        add_arguments(p)
     args = parser.parse_args(argv)
-    run = {"verify": run_verify, "coeffs": run_coeffs, "trajectory": run_trajectory, "map": run_map}
     try:
-        return run[args.command](args)
+        return globals()[f"run_{args.command}"](args)
     except (ValueError, ZeroDivisionError) as exc:
         parser.exit(2, f"pend-nf: error: {exc}\n")
     except (ArithmeticError, RuntimeError) as exc:

@@ -64,9 +64,10 @@ _TERM_RTOL = 1e-15
 _TAIL_EPS = 1e-16
 _MAX_TERMS = 10_000
 _POLE_EPS = 1e-9
-# the logs of the largest float and of the least normal one
+# the least normal float; the logs of the largest float and of it
+_FLOAT_MIN = sys.float_info.min
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_LOG_FLOAT_MIN = math.log(sys.float_info.min)
+_LOG_FLOAT_MIN = math.log(_FLOAT_MIN)
 # the largest float whose square is finite
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
@@ -366,19 +367,23 @@ def canonical_from_normal(n: NormalCoords, par: PendulumParams) -> PhaseState:
 def normal_flow(n: NormalCoords, t: float, par: PendulumParams) -> NormalCoords:
     """Time-t flow in normal coordinates: q expands and p contracts at the
     energy-dependent rate g0(x'); the product p*q is invariant.  Where
-    exp(g0 t) leaves the float range an OverflowError names t and g0.
+    exp(g0 t) or a nonzero flowed coordinate leaves the normal float range
+    (turns inf, or falls below sys.float_info.min) an OverflowError names t
+    and g0.
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     g0 = _action_orbit(n.x, par)[2]
     try:
+        # exp overflows past g0 t = 709.78 and turns 0 below -745.13 (p / e
+        # divides by 0); where g0 t itself overflows, e is inf and p / e is 0
         e = math.exp(g0 * t)
-        if e == math.inf:       # g0 t itself overflowed to inf
+        p, q = n.p / e, n.q * e
+        if (n.p and not _FLOAT_MIN <= abs(p) < math.inf) or (n.q and not _FLOAT_MIN <= abs(q) < math.inf):
             raise OverflowError
-        return NormalCoords(n.p / e, n.q * e)
     except (OverflowError, ZeroDivisionError):
-        # exp overflows past g0 t = 709.78 and turns 0 below -745.13
-        raise OverflowError(f"the flow factor exp(g0 t) leaves the float range at t = {t}, g0 = {g0}") from None
+        raise OverflowError(f"the flow leaves the normal float range at t = {t}, g0 = {g0}") from None
+    return NormalCoords(p, q)
 
 
 def jacobian_det(n: NormalCoords, par: PendulumParams) -> float:
@@ -560,6 +565,11 @@ def trajectory(
     on a uniform time grid, in the requested representation.
     """
     times = _time_grid(t0, t1, dt)
+    if method in ("closed", "series", "normal") and mod.h_prime == 1.0:
+        raise ValueError(
+            f"h = {mod.h} is too small for the {method} method: its complement h' rounds to 1, as "
+            f"sqrt(1 - h^2) does for every h <= 2^-27 = 7.45e-09; the rk method (--method rk) answers there"
+        )
     if method == "closed":
         states = [closed_form_state(t, mod, par) for t in times]
     elif method == "series":

@@ -1,4 +1,4 @@
-"""Every recorded digest and float-hex pin of the tests, in one keyed store.
+"""Every recorded digest, float-hex pin and CLI text of the tests, in one keyed store.
 
 The recorded values live in pins.json next to this file.  This module owns
 the producer of each key (the inputs a test checks and the text whose
@@ -24,10 +24,12 @@ import inspect
 import io
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -472,6 +474,74 @@ def _float_horner():
     coefficient before adding it."""
     for s, x, _, _ in horner_cases():
         yield outcome(s, x)
+
+
+# ---------------------------------------------------------------------------
+# the pend-nf command surface: help, usage errors and parsed values, at 80
+# columns (argparse wraps to the terminal width) under Python 3.11
+
+CLI_HELP = {"cli/help": ["--help"]} | {f"cli/help/{command}": [command, "--help"]
+                                        for command in ("verify", "coeffs", "trajectory", "map")}
+CLI_USAGE_ERRORS = {f"cli/usage_error/{name}": argv for name, argv in (
+    ("no_command", []),
+    ("bogus", ["bogus"]),
+    ("verify_without_suite", ["verify"]),
+    ("coeffs_without_series", ["coeffs", "--order", "3"]),
+    ("trajectory_without_dt", ["trajectory", "--method", "closed", "--h", "0.3", "--t1", "1"]),
+    ("map_without_q", ["map", "--p", "0.3"]),
+    ("verify_unknown_suite", ["verify", "--suite", "nonsense"]),
+    ("trajectory_h_and_energy", ["trajectory", "--method", "closed", "--h", "0.3", "--energy", "1",
+                                 "--t1", "1", "--dt", "1"]),
+    ("map_extra_argument", ["map", "--p", "1", "--q", "1", "extra"]),
+    ("coeffs_order_zero", ["coeffs", "--series", "calU", "--order", "0"]),
+    ("double_dash_first", ["--", "map", "--p", "0.3", "--q", "0.2"]),
+)}
+CLI_PARSED = {f"cli/parsed/{argv[0]}": argv for argv in (
+    ["verify", "--suite", "theta", "--I", "2.5"],
+    ["coeffs", "--series", "W", "--physical", "--I", "1/32", "--format", "csv"],
+    ["trajectory", "--method", "rk", "--energy", "0.5", "--t1", "5", "--dt", "0.1"],
+    ["map", "--p", "0.3", "--q", "0.2", "--output", "map.json"],
+)}
+
+
+def _cli(argv):
+    """Exit code, stdout and stderr of pend-nf with these arguments."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli_help(argv):
+    code, out, err = _cli(argv)
+    assert (code, err) == (0, ""), (code, err)
+    yield out
+
+
+def _cli_usage_error(argv):
+    """The exit code and stderr, in full."""
+    code, out, err = _cli(argv)
+    assert out == "", out
+    return f"exit {code}\n{err}"
+
+
+def _cli_parsed(argv):
+    """Every parsed value, defaults included, as the command's runner gets them."""
+    seen = []
+    with mock.patch.object(cli, f"run_{argv[0]}", lambda args: seen.append(args) or 0):
+        code, out, err = _cli(argv)
+    assert (code, out, err, len(seen)) == (0, "", "", 1), (code, out, err)
+    return repr(sorted(vars(seen[0]).items()))
+
+
+for _table, _producer in ((CLI_HELP, _cli_help), (CLI_USAGE_ERRORS, _cli_usage_error),
+                          (CLI_PARSED, _cli_parsed)):
+    for _key, _argv in _table.items():
+        _pin(_key, _argv)(_producer)
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,20 @@ class TestTrajectory:
         assert f"argument --h: must be positive, got {float(h)}" in captured.err
         assert run_cli([*argv[:3], "--h", "1e-8", *argv[5:]]) == 0
 
+    @pytest.mark.parametrize("method", ["closed", "series", "normal"])
+    def test_h_whose_complement_rounds_to_one_is_two(self, capsys, method):
+        # at h <= 2^-27 h' = sqrt(1 - h^2) rounds to 1: the error names h and
+        # the limit and points to rk, which answers there
+        argv = ["trajectory", "--method", method, "--h", "5e-9", "--t1", "1", "--dt", "0.5"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"pend-nf: error: h = 5e-09 is too small for the {method} method: its "
+                                f"complement h' rounds to 1, as sqrt(1 - h^2) does for every h <= 2^-27 "
+                                f"= 7.45e-09; the rk method (--method rk) answers there\n")
+        assert run_cli([*argv[:2], "rk", *argv[3:]]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
     def test_normal_past_its_nome_bound_is_two(self, capsys):
         # above h_from_nome(0.5) the error names the h given and its nome, not
         # an action derived from the a^2 series outside its domain
@@ -404,6 +418,12 @@ SUITE_GRIDS = [
 @pytest.mark.parametrize("start, stop, num", SUITE_GRIDS)
 def test_linspace_matches_numpy_exactly(start, stop, num):
     assert _linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+
+
+@pytest.mark.parametrize("key", sorted(pins.CLI_HELP | pins.CLI_USAGE_ERRORS | pins.CLI_PARSED))
+def test_command_surface_keeps_its_bytes(key):
+    # help text, usage errors with their exit codes, and parsed values
+    pins.check(key)
 
 
 def test_console_script_installed():

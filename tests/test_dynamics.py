@@ -413,6 +413,24 @@ class TestNormalFlow:
         with pytest.raises(OverflowError, match=re.escape(f"range at t = {t}, g0 = {g0}") + "$"):
             dyn.normal_flow(n, t, par)
 
+    # (p, q, g0 t inside, g0 t outside), where e = exp(g0 t) is still a
+    # nonzero float: at g0 t = -720 p / e is inf and q e subnormal, at -700
+    # q e = 1e-5 e^-700 alone is subnormal, and at 709.5 q e = 4 e^709.5 is
+    # inf, or p / e = 0.01 e^-709.5 subnormal
+    @pytest.mark.parametrize("p, q, inside, outside", [
+        (0.3, 0.2, -700.0, -720.0), (1e-5, 1e-5, -690.0, -700.0),
+        (0.01, 4.0, 700.0, 709.5), (0.01, 1.0, 700.0, 709.5),
+    ])
+    def test_flowed_coordinate_past_the_normal_range_is_named(self, p, q, inside, outside):
+        n, par = NormalCoords(p, q), PendulumParams(1.0, 1.0)
+        g0 = el.g0_from_nome(dyn.nome_from_action(n.x, par), par.g)
+        moved = dyn.normal_flow(n, inside / g0, par)
+        assert all(sys.float_info.min <= abs(c) < math.inf for c in moved)
+        t = outside / g0
+        assert 0.0 < math.exp(g0 * t) < math.inf
+        with pytest.raises(OverflowError, match=re.escape(f"range at t = {t}, g0 = {g0}") + "$"):
+            dyn.normal_flow(n, t, par)
+
     def test_energy_constant_along_flow(self, par):
         n0 = NormalCoords(0.5, 0.35)
         e0 = dyn.hamiltonian(dyn.canonical_from_normal(n0, par), par)
