@@ -21,7 +21,8 @@ Each series function keeps, for the life of the process, the longest result
 it has computed, and answers a lower order by truncating it: coefficients
 never change with the order (see series.py), so the truncation is exactly
 what a direct computation at that order returns.  A higher order than any
-seen so far is computed afresh and replaces the stored one.
+seen so far replaces the stored one: g0 and U extend theirs by the product
+recurrence, and the rest are computed afresh from them.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ class IdentityReport(NamedTuple):
     first_mismatch: int | None = None
 
 
-def _longest(min_order: int, message: str):
+def _longest(min_order: int, message: str, extends: bool = False):
     """Check the order, then serve it from the longest result stored so far
-    (truncated), or compute it and store it when it is longer."""
+    (truncated), or compute it and store it when it is longer; a function
+    that extends is handed the stored result to continue from."""
 
     def decorate(fn):
         longest = None
@@ -89,7 +91,7 @@ def _longest(min_order: int, message: str):
             if order < min_order:
                 raise ValueError(message)
             if longest is None or order > longest.order:
-                longest = fn(order)
+                longest = fn(order, longest) if extends else fn(order)
             return longest.truncate(order)
 
         return stored
@@ -97,16 +99,16 @@ def _longest(min_order: int, message: str):
     return decorate
 
 
-@_longest(0, "order must be >= 0")
-def g0_series(order: int) -> RationalSeries:
+@_longest(0, "order must be >= 0", extends=True)
+def g0_series(order: int, stored: RationalSeries | None = None) -> RationalSeries:
     """Rate series g0/g = prod((1+x'^n)/(1-x'^n))^2 = 1 + 4x' + 12x'^2 + ..."""
-    return product_series(_G0_FACTORS, 2, order, var=NOME_VAR)
+    return product_series(_G0_FACTORS, 2, order, NOME_VAR, prefix=stored)
 
 
-@_longest(1, "the energy series starts at first order; need order >= 1")
-def energy_series(order: int) -> RationalSeries:
+@_longest(1, "the energy series starts at first order; need order >= 1", extends=True)
+def energy_series(order: int, stored: RationalSeries | None = None) -> RationalSeries:
     """Energy series U/(32 I g^2) = x' prod((1+x'^(2n))/(1-x'^(2n-1)))^8."""
-    return product_series(_ENERGY_FACTORS, 8, order - 1, var=NOME_VAR).shift()
+    return product_series(_ENERGY_FACTORS, 8, order, NOME_VAR, shift=1, prefix=stored)
 
 
 @_longest(0, "order must be >= 0")
@@ -165,6 +167,15 @@ def stable_bundle(order: int) -> StableFormBundle:
     return StableFormBundle(g0=g0s, energy=energy_s, rescale_sq=a2s, normal_energy=w)
 
 
+def _report(order: int, *series: RationalSeries) -> IdentityReport:
+    """Compare whole series; only where they differ, find the first power that does."""
+    if all(s == series[0] for s in series[1:]):
+        return IdentityReport(passed=True, order=order)
+    columns = zip(*(s.coeffs for s in series))
+    mismatch = next(n for n, column in enumerate(columns) if len(set(column)) > 1)
+    return IdentityReport(passed=False, order=order, first_mismatch=mismatch)
+
+
 def rescaling_identity_check(order: int) -> IdentityReport:
     """Coefficient-level check that the phase-area factor D equals
     d/dx' (x' * a^2(x')), i.e. that the rate derivative supplies the
@@ -174,11 +185,7 @@ def rescaling_identity_check(order: int) -> IdentityReport:
         raise ValueError("order must be >= 1")
     # rhs first: it asks g0 one order higher, so lhs's g0 is a stored truncation
     rhs = x_of_nome_series(order + 1).derivative()
-    lhs = jacobian_series(order)
-    for n in range(order + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return IdentityReport(passed=False, order=order, first_mismatch=n)
-    return IdentityReport(passed=True, order=order)
+    return _report(order, jacobian_series(order), rhs)
 
 
 def theta_logderiv_check(order: int) -> IdentityReport:
@@ -214,12 +221,7 @@ def theta_logderiv_check(order: int) -> IdentityReport:
         dens, var=NOME_VAR
     )
 
-    for n in range(order + 1):
-        if not (
-            via_product.coeffs[n] == via_divisors.coeffs[n] == via_theta.coeffs[n]
-        ):
-            return IdentityReport(passed=False, order=order, first_mismatch=n)
-    return IdentityReport(passed=True, order=order)
+    return _report(order, via_product, via_divisors, via_theta)
 
 
 def alternating_signs_hold(order: int = 50) -> bool:

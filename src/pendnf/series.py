@@ -5,14 +5,16 @@ order are unknown, not zero, and every operation returns only the order it
 can certify from its operands.  Re-running any computation at a higher order
 never changes previously computed coefficients.
 
-A series stores and exposes its coefficients as fractions.Fraction, so
-identity checks between series are exact, no matter how large the
-coefficients grow.  The kernels behind the products, quotients,
-compositions and reversions compute on Python int lists over one common
-denominator: an operation converts its operands once, runs the kernel on
-integers, and converts the result back once, so no gcd runs inside a loop.
+A series stores its coefficients as Python int numerators over one reduced,
+positive common denominator, so identity checks are exact however large the
+coefficients grow.  That is the form the kernels behind the products,
+quotients, compositions and reversions compute on: each hands its output and
+denominator to the result, reduced by one gcd pass, so no coefficient is boxed
+between operations.  The public `coeffs`, a tuple of fractions.Fraction, is
+built on first access and kept.
 A power of a q-product needs no series product: it comes from the small-integer
-logarithmic derivative L by m c_m = power sum_k L_k c_(m-k) (Knuth, TAOCP 4.7).
+logarithmic derivative L by m c_m = power sum_k L_k c_(m-k) (Knuth, TAOCP 4.7),
+continued from a stored lower order of the same product when one is given.
 
 Composition and reversion split their powers into baby and giant steps
 (Brent & Kung 1978, "Fast algorithms for manipulating formal power series"):
@@ -28,7 +30,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import cached_property
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -36,26 +39,8 @@ __all__ = ["RationalSeries", "product_series"]
 
 Coeff = Union[Fraction, int]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 def _rat(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(numerators, den) with coeffs[n] == numerators[n] / den."""
-    den = lcm(*(c.denominator for c in coeffs))
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _fracs(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
-    if den == 1:
-        return tuple(map(Fraction, nums))
-    return tuple(Fraction(n, den) for n in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -123,39 +108,71 @@ def _compose_lists(f: Sequence[int], g: Sequence[int], order: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class RationalSeries:
-    """Power series sum_n coeffs[n] * var^n, exact through var^order."""
+    """Power series sum_n coeffs[n] * var^n, exact through var^order.
 
-    coeffs: tuple[Fraction, ...]
-    var: str = "x"
+    Int numerators over one reduced positive denominator: equal series store the same.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    var: str
+    _den: int
+    _nums: tuple[int, ...]
+
+    def __init__(self, coeffs: Iterable[Coeff], var: str = "x"):
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(_rat(c) for c in self.coeffs))
+        if all(type(c) is int for c in coeffs):
+            nums, den = coeffs, 1
+        else:
+            coeffs = tuple(map(_rat, coeffs))
+            den = lcm(*(c.denominator for c in coeffs))
+            nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+            vars(self)["coeffs"] = coeffs
+        vars(self).update(_nums=nums, _den=den, var=var)
+
+    @classmethod
+    def _of(cls, nums: Sequence[int], den: int, var: str) -> "RationalSeries":
+        """The series sum_n nums[n] var^n / den (den != 0), reduced."""
+        if den != 1:
+            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+            if g != 1:
+                nums, den = [n // g for n in nums], den // g
+        out = cls.__new__(cls)
+        vars(out).update(_nums=tuple(nums), _den=den, var=var)
+        return out
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self._den) for n in self._nums)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(coeffs={self.coeffs!r}, var={self.var!r})"
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Coeff], var: str = "x") -> "RationalSeries":
-        return cls(tuple(coeffs), var)
+        return cls(coeffs, var)
 
     @classmethod
     def constant(cls, value: Coeff, order: int, var: str = "x") -> "RationalSeries":
-        return cls((value,) + (_ZERO,) * order, var)
+        if order < 0:
+            raise ValueError(f"a constant series needs order >= 0, got {order}")
+        return cls((value,) + (0,) * order, var)
 
     @classmethod
     def identity(cls, order: int, var: str = "x") -> "RationalSeries":
         if order < 1:
             raise ValueError("the identity series needs order >= 1")
-        return cls((_ZERO, _ONE) + (_ZERO,) * (order - 1), var)
+        return cls._of((0, 1) + (0,) * (order - 1), 1, var)
 
     # -- basics --------------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def coeff(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
@@ -167,15 +184,12 @@ class RationalSeries:
             raise ValueError(f"cannot truncate a series to negative order {order}")
         if order > self.order:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
-        # the kept coefficients are Fractions already: skip __post_init__
-        out = object.__new__(RationalSeries)
-        object.__setattr__(out, "coeffs", self.coeffs[: order + 1])
-        object.__setattr__(out, "var", self.var)
-        return out
+        # a slice: over denominator 1 (every normal-form series) nothing reduces
+        return self._of(self._nums[: order + 1], self._den, self.var)
 
     def shift(self) -> "RationalSeries":
         """Multiply by the variable; gains one certified order."""
-        return RationalSeries((_ZERO,) + self.coeffs, self.var)
+        return self._of((0,) + self._nums, self._den, self.var)
 
     def _check_var(self, other: "RationalSeries"):
         if self.var != other.var:
@@ -186,16 +200,16 @@ class RationalSeries:
     def __add__(self, other):
         if isinstance(other, RationalSeries):
             self._check_var(other)
-            n = min(self.order, other.order)
-            return RationalSeries(
-                tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)), self.var
-            )
-        return RationalSeries((self.coeffs[0] + _rat(other),) + self.coeffs[1:], self.var)
+            den = lcm(self._den, other._den)
+            sa, sb = den // self._den, den // other._den
+            return self._of([a * sa + b * sb for a, b in zip(self._nums, other._nums)], den, self.var)
+        c = _rat(other)
+        return self + self._of([c.numerator] + [0] * self.order, c.denominator, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalSeries(tuple(-c for c in self.coeffs), self.var)
+        return self._of([-a for a in self._nums], self._den, self.var)
 
     def __sub__(self, other):
         if isinstance(other, RationalSeries):
@@ -209,11 +223,9 @@ class RationalSeries:
         if isinstance(other, RationalSeries):
             self._check_var(other)
             n = min(self.order, other.order)
-            (a, da), (b, db) = _ints(self.coeffs[: n + 1]), _ints(other.coeffs[: n + 1])
-            return RationalSeries(_fracs(_mul_lists(a, b, n), da * db), self.var)
+            return self._of(_mul_lists(self._nums, other._nums, n), self._den * other._den, self.var)
         c = _rat(other)
-        nums, den = _ints(self.coeffs)
-        return RationalSeries(_fracs([n * c.numerator for n in nums], den * c.denominator), self.var)
+        return self._of([a * c.numerator for a in self._nums], self._den * c.denominator, self.var)
 
     __rmul__ = __mul__
 
@@ -221,12 +233,12 @@ class RationalSeries:
         if isinstance(other, RationalSeries):
             self._check_var(other)
             n = min(self.order, other.order)
-            (a, da), (b, db) = _ints(self.coeffs[: n + 1]), _ints(other.coeffs[: n + 1])
-            q = _div_lists(a, b, n)
+            b0 = other._nums[0]
+            q = _div_lists(self._nums, other._nums, n)
             # (a/da) / (b/db) = (db/da) sum q[m] t^m / b0^(m+1), over the one
             # denominator da b0^(n+1)
-            nums = [qm * db * b[0] ** (n - m) for m, qm in enumerate(q)]
-            return RationalSeries(_fracs(nums, da * b[0] ** (n + 1)), self.var)
+            nums = [qm * other._den * b0 ** (n - m) for m, qm in enumerate(q)]
+            return self._of(nums, self._den * b0 ** (n + 1), self.var)
         c = _rat(other)
         if c == 0:
             raise ZeroDivisionError("division of a series by zero")
@@ -237,18 +249,17 @@ class RationalSeries:
     def derivative(self) -> "RationalSeries":
         if self.order < 1:
             raise ValueError("derivative of an order-0 series certifies no coefficients")
-        nums, den = _ints(self.coeffs)
-        return RationalSeries(_fracs([n * c for n, c in enumerate(nums) if n], den), self.var)
+        return self._of([n * a for n, a in enumerate(self._nums) if n], self._den, self.var)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """self(inner); inner must have zero constant term."""
-        if inner.coeffs[0] != 0:
+        if inner._nums[0] != 0:
             raise ValueError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
-        (f, df), (g, dg) = _ints(self.coeffs[: n + 1]), _ints(inner.coeffs[: n + 1])
+        dg = inner._den
         # sum f[j] (g/dg)^j = sum f[j] dg^(n-j) g^j / dg^n
-        f = [fj * dg ** (n - j) for j, fj in enumerate(f)]
-        return RationalSeries(_fracs(_compose_lists(f, g, n), df * dg**n), inner.var)
+        f = [fj * dg ** (n - j) for j, fj in enumerate(self._nums[: n + 1])]
+        return self._of(_compose_lists(f, inner._nums[: n + 1], n), self._den * dg**n, inner.var)
 
     def revert(self, var: str | None = None) -> "RationalSeries":
         """Compositional inverse g with self(g) = identity, exact.
@@ -259,12 +270,12 @@ class RationalSeries:
         powers q^(m j) give each [t^(k-1)] q^k, k = m j + i, as one dot
         product, for about 2 sqrt(order) full products in all.
         """
-        if self.coeffs[0] != 0:
+        f, den = self._nums, self._den
+        if f[0] != 0:
             raise ValueError("reversion needs a series with zero constant term")
-        if self.order < 1 or self.coeffs[1] == 0:
+        if self.order < 1 or f[1] == 0:
             raise ValueError("reversion needs a nonzero linear coefficient")
         n = self.order
-        f, den = _ints(self.coeffs)
         # t/self = den / p with p = f/t; 1/p = sum q[m] t^m / p0^(m+1), so
         # [t^m] (1/p)^k = [t^m] q^k / p0^(m+k) and g_k needs it at m = k-1
         p0 = f[1]
@@ -272,14 +283,15 @@ class RationalSeries:
         m = isqrt(n)
         baby = _powers(q, m, n - 1)
         giant = baby[0]
-        g = [_ZERO]
+        L = lcm(*range(1, n + 1))       # g_k = den^k [t^(k-1)] q^k / (k p0^(2k-1))
+        g = [0]                         # over the common denominator L p0^(2n-1)
         for k in range(1, n + 1):
             j, i = divmod(k, m)
             if i == 0:
                 giant = baby[m] if j == 1 else _mul_lists(giant, baby[m], n - 1)
             power = sum(map(mul, giant[:k], baby[i][k - 1::-1]))
-            g.append(Fraction(den**k * power, k * p0 ** (2 * k - 1)))
-        return RationalSeries(tuple(g), var if var is not None else self.var)
+            g.append(den**k * power * (L // k) * p0 ** (2 * (n - k)))
+        return self._of(g, L * p0 ** (2 * n - 1), var if var is not None else self.var)
 
     # -- evaluation and serialization ------------------------------------------
 
@@ -304,10 +316,16 @@ class RationalSeries:
     @classmethod
     def from_json(cls, text: str) -> "RationalSeries":
         obj = json.loads(text)
-        coeffs = [Fraction(int(num), int(den)) for num, den in obj["coeffs"]]
+        for field in ("var", "order", "coeffs"):
+            if field not in obj:
+                raise ValueError(f"JSON series has no {field!r} field")
+        dens = [int(den) for _, den in obj["coeffs"]]
+        if 0 in dens:
+            raise ValueError(f"coefficient {dens.index(0)} of the JSON series has denominator 0")
+        coeffs = [Fraction(int(num), den) for (num, _), den in zip(obj["coeffs"], dens)]
         if len(coeffs) != obj["order"] + 1:
             raise ValueError("JSON series length does not match its order")
-        return cls(tuple(coeffs), obj["var"])
+        return cls(coeffs, obj["var"])
 
     def __str__(self):
         parts = []
@@ -329,8 +347,11 @@ def product_series(
     power: int,
     order: int,
     var: str = "x",
+    *,
+    shift: int = 0,
+    prefix: RationalSeries | None = None,
 ) -> RationalSeries:
-    """Exact series of (prod over factor patterns)^power through var^order.
+    """Exact series of var^shift (prod over factor patterns)^power through var^order.
 
     Each factor is a tuple (sign, step, offset, exponent) standing for
     prod_{n>=1} (1 + sign * var^(step*n + offset))^exponent with sign and
@@ -340,11 +361,13 @@ def product_series(
     The power comes from the small-integer logarithmic derivative L = var d/dvar
     log of the product, (1 + s var^e)^eps adding eps e sum_k -(-s)^k var^(e k):
     m c_m = sum_(k=1..m) power L_k c_(m-k), c_0 = 1 (Knuth, TAOCP Vol. 2, 4.7).
+    A prefix, the same call's result at a lower order, is continued.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    if not 0 <= shift <= order:
+        raise ValueError(f"order must be >= 0 and >= shift, got order {order}, shift {shift}")
     if not isinstance(power, int) or power < 0:
         raise ValueError("power must be a nonnegative integer")
+    order -= shift
     weights = [0] * order              # weights[k - 1] = power L_k
     for sign, step, offset, exponent in factors:
         if sign not in (1, -1) or exponent not in (1, -1) or step < 1:
@@ -356,7 +379,7 @@ def product_series(
             for i in range(e, order + 1, e):
                 weights[i - 1] += term
                 term *= -sign
-    acc = [1]
-    for m in range(1, order + 1):
+    acc = list(prefix._nums[shift:shift + order + 1]) if prefix else [1]
+    for m in range(len(acc), order + 1):
         acc.append(sum(map(mul, weights, reversed(acc))) // m)
-    return RationalSeries(_fracs(acc, 1), var)
+    return RationalSeries._of([0] * shift + acc, 1, var)

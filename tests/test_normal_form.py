@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import pins
 
 from pendnf import elliptic as el, normal_form as nf
 from pendnf.elliptic import Modulus
@@ -241,7 +244,10 @@ class TestIntegerCoefficients:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # a fresh interpreter (empty stores) asks each function for orders 61, 78
-# and 61 again, and prints every result as JSON, field by field
+# and 61 again, and prints every result as JSON, field by field; then it
+# replays an exact-deep benchmark session (table at 78, theta check at 220,
+# table at 61, rescaling check at 240), whose two checks extend the stored g0
+# and U, and prints the stored products at 240 coefficient by coefficient
 _STORE_SCRIPT = """
 import json
 from pendnf import normal_form as nf
@@ -251,6 +257,12 @@ for order in (61, 78, 61):
     b = nf.stable_bundle(order)
     out["bundle"].append({f: getattr(b, f).to_json_obj()
                           for f in ("g0", "energy", "rescale_sq", "normal_energy")})
+nf.normal_energy_series(78)
+out["checks"] = [nf.theta_logderiv_check(220).passed]
+nf.normal_energy_series(61)
+out["checks"].append(nf.rescaling_identity_check(240).passed)
+out["products"] = {name: [str(c) for c in getattr(nf, name)(240).coeffs]
+                   for name in ("g0_series", "energy_series")}
 print(json.dumps(out))
 """
 
@@ -273,6 +285,24 @@ class TestSeriesStore:
         for bundle in fresh["bundle"]:
             assert {s["order"] for s in bundle.values()} == {bundle["g0"]["order"]}
         assert [b["normal_energy"]["order"] for b in fresh["bundle"]] == [61, 78, 61]
+
+    @pytest.mark.parametrize("name", ["g0_series", "energy_series"])
+    def test_extended_products_keep_their_pins(self, fresh, name):
+        # the pins were recorded from a direct computation at order 240
+        assert fresh["checks"] == [True, True]
+        recorded = json.loads(pins.STORE.read_text())[f"{name}/240"]
+        assert pins.digest(fresh["products"][name], ",") == recorded
+
+    @settings(max_examples=15, deadline=None)
+    @given(low=st.integers(1, 120), extra=st.integers(1, 120))
+    def test_extension_equals_direct_computation(self, low, extra):
+        # a new store for each product: asked at low, then at high, it extends
+        for name, min_order in (("g0_series", 0), ("energy_series", 1)):
+            direct = getattr(nf, name).__wrapped__
+            stored = nf._longest(min_order, "order too low", extends=True)(direct)
+            assert stored(low).order == low
+            assert stored(low + extra) == direct(low + extra)
+            assert stored(low) == direct(low)
 
     def test_higher_order_after_lower(self):
         low = nf.g0_series(3)

@@ -55,6 +55,14 @@ def lagrange_revert_oracle(f, order):
     return out
 
 
+def div_oracle(a, b, order):
+    """The quotient recurrence q[m] = (a[m] - sum_j b[j] q[m-j]) / b[0]."""
+    q = []
+    for m in range(order + 1):
+        q.append((a[m] - sum(b[j] * q[m - j] for j in range(1, m + 1))) / b[0])
+    return q
+
+
 def binomial_product_oracle(factors, power, order):
     """The expansion product_series made before the log-derivative power
     recurrence: one in-place pass per binomial, then the power as a
@@ -89,10 +97,21 @@ sparse_rationals = st.one_of(st.just(F(0)), rationals)
 deep_orders = st.integers(min_value=1, max_value=40)
 
 
+# coefficients over denominators 2..7, most of them not integers
+fractional = st.builds(F, st.integers(-30, 30), st.integers(2, 7))
+
+
 def series_strategy(order=6, var="x", elements=rationals):
     return st.lists(elements, min_size=order + 1, max_size=order + 1).map(
         lambda cs: RS.from_coeffs(cs, var=var)
     )
+
+
+def fractional_lists(order):
+    """Coefficient lists, at least one of them not an integer."""
+    return st.lists(st.one_of(st.just(F(0)), rationals, fractional),
+                    min_size=order + 1, max_size=order + 1).filter(
+        lambda cs: any(c.denominator > 1 for c in cs))
 
 
 class CountProducts:
@@ -172,6 +191,84 @@ class TestArithmetic:
         else:
             assert (a / c).coeffs == tuple(v / exact for v in a.coeffs)
         assert all(type(v) is F for v in (a * c).coeffs)
+
+
+class TestStorage:
+    """Each operation against the plain Fraction-list oracle, on series whose
+    coefficients are not all integers: the result has the oracle's
+    coefficients, and equals (with the same hash) the series built directly
+    from them, so its stored denominator is the reduced one."""
+
+    @staticmethod
+    def same(got, want, var="x"):
+        built = RS.from_coeffs(want, var=var)
+        assert list(got.coeffs) == list(want) and all(type(c) is F for c in got.coeffs)
+        assert got == built and hash(got) == hash(built)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), order=st.integers(0, 12),
+           c=st.one_of(st.integers(-6, 6), rationals, fractional))
+    def test_ring_operations(self, data, order, c):
+        a, b = data.draw(fractional_lists(order)), data.draw(fractional_lists(order))
+        sa, sb = RS.from_coeffs(a), RS.from_coeffs(b)
+        self.same(sa + sb, [u + v for u, v in zip(a, b)])
+        self.same(sa - sb, [u - v for u, v in zip(a, b)])
+        self.same(sa + c, [a[0] + c] + a[1:])
+        self.same(c - sa, [c - a[0]] + [-v for v in a[1:]])
+        self.same(-sa, [-v for v in a])
+        self.same(sa * c, [v * c for v in a])
+        self.same(sa * sb, conv_oracle(a, b, order))
+        if c != 0:
+            self.same(sa / c, [v / F(c) for v in a])
+        if b[0] != 0:
+            self.same(sa / sb, div_oracle(a, b, order))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), order=st.integers(1, 16), x=rationals)
+    def test_calculus_and_evaluation(self, data, order, x):
+        a = data.draw(fractional_lists(order))
+        s = RS.from_coeffs(a, var="z")
+        self.same(s.derivative(), [n * v for n, v in enumerate(a)][1:], "z")
+        self.same(s.shift(), [F(0)] + a, "z")
+        for k in range(order + 1):
+            self.same(s.truncate(k), a[: k + 1], "z")
+        assert s(x) == sum(v * x**n for n, v in enumerate(a)) and type(s(x)) is F
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), order=st.integers(1, 12))
+    def test_compose_and_revert(self, data, order):
+        f = data.draw(fractional_lists(order))
+        g = [F(0)] + data.draw(fractional_lists(order))[1:]
+        self.same(RS.from_coeffs(f).compose(RS.from_coeffs(g)), horner_oracle(f, g, order))
+        if g[1] != 0:
+            self.same(RS.from_coeffs(g).revert(), lagrange_revert_oracle(g, order))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cs=st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=30),
+           var=st.sampled_from(["x", "x'"]))
+    def test_ints_and_fractions_build_one_series(self, cs, var):
+        ints, fracs = RS.from_coeffs(cs, var=var), RS.from_coeffs(map(F, cs), var=var)
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert ints.coeffs == fracs.coeffs and repr(ints) == repr(fracs)
+        assert RS.from_coeffs(cs, var=var + "'") != ints
+
+    def test_truncation_reduces_its_denominator(self):
+        s = RS.from_coeffs([1, F(1, 2), F(5, 3)])
+        for t, kept in ((s.truncate(1), [1, F(1, 2)]), (s.truncate(0), [1]),
+                        ((s * 6).truncate(1), [6, 3])):
+            assert t == RS.from_coeffs(kept) and hash(t) == hash(RS.from_coeffs(kept))
+            assert t.coeffs == tuple(map(F, kept))
+        assert (s - s) == RS.constant(0, 2) and hash(s - s) == hash(RS.constant(0, 2))
+
+    def test_repr_and_immutability(self):
+        s = RS.from_coeffs([1, F(-1, 2)], var="q")
+        assert repr(s) == "RationalSeries(coeffs=(Fraction(1, 1), Fraction(-1, 2)), var='q')"
+        for name, value in (("coeffs", (F(2),)), ("var", "x"), ("order", 3), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(s, name, value)
+        with pytest.raises(AttributeError):
+            del s.var
+        assert s == RS.from_coeffs([1, F(-1, 2)], var="q")
 
 
 class TestComposition:
@@ -327,6 +424,24 @@ class TestProducts:
         with pytest.raises(ValueError, match=message):
             product_series(((1, 1, 0, 1),), power, order)
 
+    @settings(max_examples=40, deadline=None)
+    @given(low=st.integers(0, 50), extra=st.integers(1, 50), shift=st.integers(0, 2),
+           power=st.integers(0, 9))
+    def test_prefix_continues_the_same_product(self, low, extra, shift, power):
+        factors = ((1, 2, 0, 1), (-1, 2, -1, -1))
+        low, high = low + shift, low + shift + extra
+        direct = product_series(factors, power, high, shift=shift)
+        stored = product_series(factors, power, low, shift=shift)
+        assert product_series(factors, power, high, shift=shift, prefix=stored) == direct
+        unshifted = product_series(factors, power, high - shift)
+        for _ in range(shift):
+            unshifted = unshifted.shift()
+        assert direct == unshifted
+
+    def test_shift_beyond_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 0 and >= shift"):
+            product_series(((1, 1, 0, 1),), 1, 2, shift=3)
+
     def test_invalid_descriptor(self):
         with pytest.raises(ValueError):
             product_series(((2, 1, 0, 1),), 1, 4)
@@ -368,6 +483,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least the constant coefficient"):
             RS(())
 
+    @pytest.mark.parametrize("order", [-1, -3])
+    def test_constant_rejects_negative_order(self, order):
+        with pytest.raises(ValueError, match=f"order >= 0, got {order}"):
+            RS.constant(5, order)
+
     def test_identity_needs_order_one(self):
         assert RS.identity(1).coeffs == (F(0), F(1))
         with pytest.raises(ValueError, match="order >= 1"):
@@ -385,6 +505,19 @@ class TestSerialization:
         obj = json.loads(RS.from_coeffs([1, 2, 3]).to_json())
         obj["order"] = 3
         with pytest.raises(ValueError, match="length does not match its order"):
+            RS.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("field", ["var", "order", "coeffs"])
+    def test_json_missing_field_is_named(self, field):
+        obj = json.loads(RS.from_coeffs([1, 2]).to_json())
+        del obj[field]
+        with pytest.raises(ValueError, match=f"no '{field}' field"):
+            RS.from_json(json.dumps(obj))
+
+    def test_json_zero_denominator_is_named(self):
+        obj = json.loads(RS.from_coeffs([1, 2, 3]).to_json())
+        obj["coeffs"][2] = ["1", "0"]
+        with pytest.raises(ValueError, match="coefficient 2 of the JSON series has denominator 0"):
             RS.from_json(json.dumps(obj))
 
     def test_json_schema(self):
