@@ -142,13 +142,6 @@ def normal_energy_series(order: int) -> RationalSeries:
     return energy_series(order).compose(inverse)
 
 
-def _alternate(s: RationalSeries, var: str) -> RationalSeries:
-    """Exact substitution of the negated variable."""
-    return RationalSeries(
-        tuple(c if n % 2 == 0 else -c for n, c in enumerate(s.coeffs)), var
-    )
-
-
 @_longest(2, "need order >= 2 to see past the linear term")
 def stable_bundle(order: int) -> StableFormBundle:
     """Stable-chart series: rotation rate, energy, squared rescale and W.
@@ -157,11 +150,11 @@ def stable_bundle(order: int) -> StableFormBundle:
     a_s^2/(64 I g) = rescale_sq(-xs); its doubled scale is why W takes the
     argument x/(64 I g), and W(z) = z (1 - 2z - 4z^2 - 20z^3 - ...).
     """
-    g0s = _alternate(g0_series(order), STABLE_NOME_VAR)
+    g0s = g0_series(order).alternate(STABLE_NOME_VAR)
     # negating the nome flips exactly the odd-exponent denominators of the
     # energy product, so Us(z) = -U(-z)
-    energy_s = -_alternate(energy_series(order), STABLE_NOME_VAR)
-    a2s = _alternate(rescale_sq_series(order), STABLE_NOME_VAR)
+    energy_s = -energy_series(order).alternate(STABLE_NOME_VAR)
+    a2s = rescale_sq_series(order).alternate(STABLE_NOME_VAR)
     x_of = a2s.truncate(order - 1).shift()
     w = energy_s.compose(x_of.revert(var="z"))
     return StableFormBundle(g0=g0s, energy=energy_s, rescale_sq=a2s, normal_energy=w)

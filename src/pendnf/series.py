@@ -132,17 +132,6 @@ class RationalSeries:
             vars(self)["coeffs"] = coeffs
         vars(self).update(_nums=nums, _den=den, var=var)
 
-    @classmethod
-    def _of(cls, nums: Sequence[int], den: int, var: str) -> "RationalSeries":
-        """The series sum_n nums[n] var^n / den (den != 0), reduced."""
-        if den != 1:
-            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-            if g != 1:
-                nums, den = [n // g for n in nums], den // g
-        out = cls.__new__(cls)
-        vars(out).update(_nums=tuple(nums), _den=den, var=var)
-        return out
-
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self._den) for n in self._nums)
@@ -166,7 +155,7 @@ class RationalSeries:
     def identity(cls, order: int, var: str = "x") -> "RationalSeries":
         if order < 1:
             raise ValueError("the identity series needs order >= 1")
-        return cls._of((0, 1) + (0,) * (order - 1), 1, var)
+        return _series((0, 1) + (0,) * (order - 1), 1, var)
 
     # -- basics --------------------------------------------------------------
 
@@ -182,14 +171,14 @@ class RationalSeries:
     def truncate(self, order: int) -> "RationalSeries":
         if order < 0:
             raise ValueError(f"cannot truncate a series to negative order {order}")
-        if order > self.order:
+        if order >= len(self._nums):
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
         # a slice: over denominator 1 (every normal-form series) nothing reduces
-        return self._of(self._nums[: order + 1], self._den, self.var)
+        return _series(self._nums[: order + 1], self._den, self.var)
 
     def shift(self) -> "RationalSeries":
         """Multiply by the variable; gains one certified order."""
-        return self._of((0,) + self._nums, self._den, self.var)
+        return _series((0,) + self._nums, self._den, self.var)
 
     def _check_var(self, other: "RationalSeries"):
         if self.var != other.var:
@@ -202,14 +191,14 @@ class RationalSeries:
             self._check_var(other)
             den = lcm(self._den, other._den)
             sa, sb = den // self._den, den // other._den
-            return self._of([a * sa + b * sb for a, b in zip(self._nums, other._nums)], den, self.var)
+            return _series([a * sa + b * sb for a, b in zip(self._nums, other._nums)], den, self.var)
         c = _rat(other)
-        return self + self._of([c.numerator] + [0] * self.order, c.denominator, self.var)
+        return self + _series([c.numerator] + [0] * self.order, c.denominator, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._of([-a for a in self._nums], self._den, self.var)
+        return _series([-a for a in self._nums], self._den, self.var)
 
     def __sub__(self, other):
         if isinstance(other, RationalSeries):
@@ -223,9 +212,9 @@ class RationalSeries:
         if isinstance(other, RationalSeries):
             self._check_var(other)
             n = min(self.order, other.order)
-            return self._of(_mul_lists(self._nums, other._nums, n), self._den * other._den, self.var)
+            return _series(_mul_lists(self._nums, other._nums, n), self._den * other._den, self.var)
         c = _rat(other)
-        return self._of([a * c.numerator for a in self._nums], self._den * c.denominator, self.var)
+        return _series([a * c.numerator for a in self._nums], self._den * c.denominator, self.var)
 
     __rmul__ = __mul__
 
@@ -238,7 +227,7 @@ class RationalSeries:
             # (a/da) / (b/db) = (db/da) sum q[m] t^m / b0^(m+1), over the one
             # denominator da b0^(n+1)
             nums = [qm * other._den * b0 ** (n - m) for m, qm in enumerate(q)]
-            return self._of(nums, self._den * b0 ** (n + 1), self.var)
+            return _series(nums, self._den * b0 ** (n + 1), self.var)
         c = _rat(other)
         if c == 0:
             raise ZeroDivisionError("division of a series by zero")
@@ -249,7 +238,12 @@ class RationalSeries:
     def derivative(self) -> "RationalSeries":
         if self.order < 1:
             raise ValueError("derivative of an order-0 series certifies no coefficients")
-        return self._of([n * a for n, a in enumerate(self._nums) if n], self._den, self.var)
+        return _series([n * a for n, a in enumerate(self._nums) if n], self._den, self.var)
+
+    def alternate(self, var: str | None = None) -> "RationalSeries":
+        """self(-t), exact: the odd coefficients negated; in var if given."""
+        nums = [-a if n % 2 else a for n, a in enumerate(self._nums)]
+        return _series(nums, self._den, var if var is not None else self.var)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """self(inner); inner must have zero constant term."""
@@ -259,7 +253,7 @@ class RationalSeries:
         dg = inner._den
         # sum f[j] (g/dg)^j = sum f[j] dg^(n-j) g^j / dg^n
         f = [fj * dg ** (n - j) for j, fj in enumerate(self._nums[: n + 1])]
-        return self._of(_compose_lists(f, inner._nums[: n + 1], n), self._den * dg**n, inner.var)
+        return _series(_compose_lists(f, inner._nums[: n + 1], n), self._den * dg**n, inner.var)
 
     def revert(self, var: str | None = None) -> "RationalSeries":
         """Compositional inverse g with self(g) = identity, exact.
@@ -291,7 +285,7 @@ class RationalSeries:
                 giant = baby[m] if j == 1 else _mul_lists(giant, baby[m], n - 1)
             power = sum(map(mul, giant[:k], baby[i][k - 1::-1]))
             g.append(den**k * power * (L // k) * p0 ** (2 * (n - k)))
-        return self._of(g, L * p0 ** (2 * n - 1), var if var is not None else self.var)
+        return _series(g, L * p0 ** (2 * n - 1), var if var is not None else self.var)
 
     # -- evaluation and serialization ------------------------------------------
 
@@ -342,6 +336,18 @@ class RationalSeries:
         return f"{body} + O({self.var}^{self.order + 1})"
 
 
+def _series(nums: Sequence[int], den: int, var: str) -> RationalSeries:
+    """sum_n nums[n] var^n / den (den != 0), reduced: every operation's constructor."""
+    if den != 1:
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            nums, den = [n // g for n in nums], den // g
+    out = object.__new__(RationalSeries)
+    fields = vars(out)
+    fields["_nums"], fields["_den"], fields["var"] = tuple(nums), den, var
+    return out
+
+
 def product_series(
     factors: Sequence[tuple[int, int, int, int]],
     power: int,
@@ -379,7 +385,7 @@ def product_series(
             for i in range(e, order + 1, e):
                 weights[i - 1] += term
                 term *= -sign
-    acc = list(prefix._nums[shift:shift + order + 1]) if prefix else [1]
+    acc = [1, *prefix._nums[shift + 1:shift + order + 1]] if prefix else [1]
     for m in range(len(acc), order + 1):
         acc.append(sum(map(mul, weights, reversed(acc))) // m)
-    return RationalSeries._of([0] * shift + acc, 1, var)
+    return _series([0] * shift + acc, 1, var)

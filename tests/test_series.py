@@ -230,6 +230,8 @@ class TestStorage:
         s = RS.from_coeffs(a, var="z")
         self.same(s.derivative(), [n * v for n, v in enumerate(a)][1:], "z")
         self.same(s.shift(), [F(0)] + a, "z")
+        self.same(s.alternate(), [(-1) ** n * v for n, v in enumerate(a)], "z")
+        self.same(s.alternate("w"), [(-1) ** n * v for n, v in enumerate(a)], "w")
         for k in range(order + 1):
             self.same(s.truncate(k), a[: k + 1], "z")
         assert s(x) == sum(v * x**n for n, v in enumerate(a)) and type(s(x)) is F
