@@ -477,11 +477,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # every command is listed, for the top-level help and its errors, but only
-    # the one argv[0] names gets its arguments (all of them where it names none)
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    # the one argparse dispatches to, the first word that names one, gets its arguments
+    named = next((w for w in argv if w in _COMMANDS), None)
     for command, (help_line, common, add_arguments) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
-        if named not in (None, command):
+        if command != named:
             continue
         if common:
             p.add_argument("--I", type=_positive_float, default=1.0, help="inertia moment (default 1)")

@@ -260,7 +260,7 @@ def _arctan_sums(p: float, q: float, x: float) -> tuple[float, float]:
         xm *= x
         if abs(xm) * (abs(p) + abs(q)) < _TERM_RTOL * (1.0 + abs(s_sum) + abs(r_sum)):
             return s_sum, r_sum
-    raise RuntimeError("nome series did not converge within the term cap")
+    raise RuntimeError(f"nome series did not converge within the term cap at x' = {x}")
 
 
 @functools.cache
@@ -442,7 +442,7 @@ def _lattice_sums(x_prime: float, z: float) -> tuple[float, float]:
         if xp < _TAIL_EPS:
             break
     else:
-        raise RuntimeError("factorization sums did not converge")
+        raise RuntimeError(f"factorization sums did not converge at x' = {x_prime}")
     return even, odd
 
 
@@ -476,7 +476,8 @@ def stable_scaled_state(p: float, q: float, par: PendulumParams) -> PhaseState:
     the conjugate pairs of w = x_s'^m (p' + i q'), whose imaginary parts cancel,
     so each pair adds 2 Im atanh(w) and 2 Re w/(1 - w^2): only w is evaluated.
     The rate's product converges for x_s' below about 0.99586 (measured); past
-    it, a RuntimeError names the nome.
+    it, a RuntimeError names the nome.  From about 0.9966 (0.9972 on the p'
+    axis) the sums, taken first, pass their term cap instead, naming x_s'.
     """
     xs = p * p + q * q
     if not xs < 1.0:
@@ -499,7 +500,7 @@ def stable_scaled_state(p: float, q: float, par: PendulumParams) -> PhaseState:
         if rho_pow * abs(w0) < _TERM_RTOL * (1.0 + abs(s_sum) + abs(r_sum)):
             break
     else:
-        raise RuntimeError("stable sums did not converge within the term cap")
+        raise RuntimeError(f"stable sums did not converge within the term cap at x_s' = {xs}")
     g0s = elliptic.g0_from_nome(-xs, par.g)
     # 0.0 - ... keeps an angle of zero at +0.0
     return PhaseState(B=-4.0 * par.I * g0s * r_sum, beta=0.0 - 4.0 * s_sum)

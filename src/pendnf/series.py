@@ -309,17 +309,37 @@ class RationalSeries:
 
     @classmethod
     def from_json(cls, text: str) -> "RationalSeries":
+        """The series of to_json's text; a missing or malformed field raises a
+        ValueError that names it, and a coefficient its index."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"a JSON series is an object, got {type(obj).__name__}")
         for field in ("var", "order", "coeffs"):
             if field not in obj:
                 raise ValueError(f"JSON series has no {field!r} field")
-        dens = [int(den) for _, den in obj["coeffs"]]
-        if 0 in dens:
-            raise ValueError(f"coefficient {dens.index(0)} of the JSON series has denominator 0")
-        coeffs = [Fraction(int(num), den) for (num, _), den in zip(obj["coeffs"], dens)]
-        if len(coeffs) != obj["order"] + 1:
+        var, order, pairs = obj["var"], obj["order"], obj["coeffs"]
+        if not isinstance(var, str):
+            raise ValueError(f"the JSON series' 'var' must be a string, got {var!r}")
+        if type(order) is not int or order < 0:    # bool is an int subclass
+            raise ValueError(f"the JSON series' 'order' must be an integer >= 0, got {order!r}")
+        if not isinstance(pairs, list):
+            raise ValueError(f"the JSON series' 'coeffs' must be a list, got {pairs!r}")
+        if len(pairs) != order + 1:
             raise ValueError("JSON series length does not match its order")
-        return cls(coeffs, obj["var"])
+        coeffs = []
+        for n, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(c, str) for c in pair)):
+                raise ValueError(f"coefficient {n} of the JSON series is not a "
+                                 f"[numerator, denominator] pair of strings: {pair!r}")
+            try:
+                num, den = int(pair[0]), int(pair[1])
+            except ValueError:
+                raise ValueError(f"coefficient {n} of the JSON series is not a pair of integers: "
+                                 f"{pair!r}") from None
+            if den == 0:
+                raise ValueError(f"coefficient {n} of the JSON series has denominator 0")
+            coeffs.append(Fraction(num, den))
+        return cls(coeffs, var)
 
     def __str__(self):
         parts = []

@@ -480,8 +480,8 @@ def _float_horner():
 # the pend-nf command surface: help, usage errors and parsed values, at 80
 # columns (argparse wraps to the terminal width) under Python 3.11
 
-CLI_HELP = {"cli/help": ["--help"]} | {f"cli/help/{command}": [command, "--help"]
-                                        for command in ("verify", "coeffs", "trajectory", "map")}
+CLI_HELP = {"cli/help": ["--help"], "cli/help/h_before_command": ["-h", "map"]} | {
+    f"cli/help/{command}": [command, "--help"] for command in ("verify", "coeffs", "trajectory", "map")}
 CLI_USAGE_ERRORS = {f"cli/usage_error/{name}": argv for name, argv in (
     ("no_command", []),
     ("bogus", ["bogus"]),
@@ -495,6 +495,7 @@ CLI_USAGE_ERRORS = {f"cli/usage_error/{name}": argv for name, argv in (
     ("map_extra_argument", ["map", "--p", "1", "--q", "1", "extra"]),
     ("coeffs_order_zero", ["coeffs", "--series", "calU", "--order", "0"]),
     ("double_dash_first", ["--", "map", "--p", "0.3", "--q", "0.2"]),
+    ("unknown_option_first", ["--x", "coeffs", "--series", "g0"]),
 )}
 CLI_PARSED = {f"cli/parsed/{argv[0]}": argv for argv in (
     ["verify", "--suite", "theta", "--I", "2.5"],

@@ -1,17 +1,16 @@
 """Acceptance suite: every headline claim at its stated tolerance, one
 printed line per criterion.  Run with `pytest tests/test_acceptance.py -v -s`
-(or plain pytest; the lines also show with -rA)."""
+(or plain pytest; the lines also show with -rA).
 
-import math
+Criteria 1, 3 and 4 read exact tables.  The others run the `pend-nf verify`
+suite that states the claim, with its own grid and tolerances, and print the
+measured value and tolerance of each of its checks."""
+
 import time
 from fractions import Fraction as F
 
-import numpy as np
-import pytest
-
-from pendnf import dynamics as dyn, elliptic as el, normal_form as nf
-from pendnf.dynamics import NormalCoords, PendulumParams, PhaseState
-from pendnf.elliptic import Modulus
+from pendnf import cli, normal_form as nf
+from pendnf.dynamics import PendulumParams
 
 from helpers import integer_coefficients_start
 
@@ -21,6 +20,20 @@ PAR = PendulumParams(I=1.0, g=1.0)
 def report(num, passed, detail):
     print(f"{'PASS' if passed else 'FAIL'}  criterion {num}: {detail}")
     assert passed
+
+
+def report_suite(num, suite, order=200, seconds=None):
+    """Run the verify suite at the default tolerances and report each of its
+    checks; with seconds, the suite must also finish within that bound."""
+    t0 = time.perf_counter()
+    results = getattr(cli, f"_suite_{suite}")(order, None, PAR)
+    elapsed = time.perf_counter() - t0
+    detail = ", ".join(f"{r.name} {r.measured:.2g} (tol {r.tolerance:.2g}{'; ' + r.note if r.note else ''})"
+                       for r in results)
+    timely = seconds is None or elapsed < seconds
+    if seconds is not None:
+        detail += f" in {elapsed:.2f} s (< {seconds:g} s)"
+    report(num, all(r.passed for r in results) and timely, f"verify --suite {suite}: {detail}")
 
 
 def test_criterion_1_normal_energy_coefficients():
@@ -37,14 +50,8 @@ def test_criterion_1_normal_energy_coefficients():
 
 
 def test_criterion_2_rescaling_identity_order_200():
-    t0 = time.perf_counter()
-    rep = nf.rescaling_identity_check(200)
-    elapsed = time.perf_counter() - t0
-    report(
-        2,
-        rep.passed and rep.first_mismatch is None and elapsed < 60.0,
-        f"phase-area identity exact through order 200 ({elapsed:.2f} s)",
-    )
+    # the phase-area identity D = d/dx'(x' a^2) exact through order 200
+    report_suite(2, "identity51", seconds=60.0)
 
 
 def test_criterion_3_stable_normal_form():
@@ -88,131 +95,25 @@ def test_criterion_4_series_leading_terms_and_integrality():
 
 
 def test_criterion_5_legendre_relation():
-    t0 = time.perf_counter()
-    worst = max(
-        abs(el.legendre_defect(Modulus.from_h(float(h))))
-        for h in np.linspace(0.05, 0.95, 50)
-    )
-    elapsed = time.perf_counter() - t0
-    report(
-        5,
-        worst <= 1e-12 and elapsed < 1.0,
-        f"Legendre defect <= {worst:.2e} on the 50-point grid ({elapsed * 1e3:.0f} ms)",
-    )
+    report_suite(5, "legendre", seconds=1.0)
 
 
 def test_criterion_6_theta_log_derivative():
-    rep = nf.theta_logderiv_check(30)
-    report(6, rep.passed, "three log-derivative expansions identical to order 30")
+    # three expansions of the theta log-derivative identical to order 30
+    report_suite(6, "theta", order=30)
 
 
 def test_criterion_7_dynamics_cross_validation():
-    mod = Modulus.from_k(1.0)
-    start = PhaseState(2 * PAR.I * PAR.g / mod.k, 0.0)
-    worst_rk = 0.0
-    for t in np.linspace(0.0, 10.0 / PAR.g, 51):
-        c = dyn.closed_form_state(float(t), mod, PAR)
-        r = dyn.rk_oracle(start, PAR, float(t), tol=1e-12)
-        worst_rk = max(worst_rk, abs(c.beta - r.beta))
-
-    worst_series = 0.0
-    for h in (0.3, 0.9, 0.975):
-        mod = Modulus.from_h(h)
-        x = el.nome_from_h(mod)
-        assert x <= 0.2
-        for t in np.linspace(0.0, 5.0 / PAR.g, 26):
-            c = dyn.closed_form_state(float(t), mod, PAR)
-            s = dyn.series_state(x, float(t), PAR)
-            worst_series = max(worst_series, abs(c.beta - s.beta), abs(c.B - s.B))
-
-    worst_energy = 0.0
-    for h in (0.3, 0.7):
-        mod = Modulus.from_h(h)
-        energy = 2 * PAR.g**2 * PAR.I / mod.k**2
-        for t in np.linspace(0.0, 10.0 / PAR.g, 201):
-            drift = abs(
-                dyn.hamiltonian(dyn.closed_form_state(float(t), mod, PAR), PAR) - energy
-            ) / energy
-            worst_energy = max(worst_energy, drift)
-
-    report(
-        7,
-        worst_rk <= 1e-8 and worst_series <= 1e-10 and worst_energy <= 1e-11,
-        f"closed-vs-rk {worst_rk:.1e} (<=1e-8), closed-vs-series {worst_series:.1e} "
-        f"(<=1e-10), energy drift {worst_energy:.1e} (<=1e-11)",
-    )
+    report_suite(7, "dynamics")
 
 
 def test_criterion_8_canonical_map_checks():
-    worst_det = 0.0
-    for x_prime in (-0.1, -0.05, 0.02, 0.05, 0.1):
-        x = PAR.action_scale * nf.x_of_nome_series(48)(x_prime)
-        t = math.sqrt(abs(x))
-        for n in (NormalCoords(t, x / t), NormalCoords(-1.4 * t, x / (-1.4 * t))):
-            worst_det = max(worst_det, abs(dyn.jacobian_det(n, PAR) - 1.0))
-    edge = 0.45 * math.sqrt(PAR.action_scale)
-    for n in (NormalCoords(0.0, edge), NormalCoords(edge, 0.0)):
-        worst_det = max(worst_det, abs(dyn.jacobian_det(n, PAR) - 1.0))
-
-    worst_slope = 0.0
-    for x_prime in (0.02, 0.05, 0.1):
-        slope, g0 = dyn.normal_energy_slope(x_prime, PAR)
-        worst_slope = max(worst_slope, abs(slope - g0) / g0)
-
-    report(
-        8,
-        worst_det <= 1e-6 and worst_slope <= 1e-6,
-        f"Jacobian det defect {worst_det:.1e} (<=1e-6), energy slope vs rate "
-        f"{worst_slope:.1e} (<=1e-6)",
-    )
+    report_suite(8, "jacobian")
 
 
 def test_criterion_9_energy_factorization():
-    gammas = np.linspace(0.5, 2.0, 13)
-    reports = [dyn.factorization_check(0.1, float(g), PAR) for g in gammas]
-    worst_match = max(r.rel_diff for r in reports)
-    values = [r.energy_factored for r in reports]
-    spread = (max(values) - min(values)) / abs(reports[0].energy_direct)
-    report(
-        9,
-        spread <= 1e-10 and worst_match <= 1e-8,
-        f"gamma spread {spread:.1e} (<=1e-10), match to direct energy "
-        f"{worst_match:.1e} (<=1e-8)",
-    )
+    report_suite(9, "factorization")
 
 
 def test_criterion_10_stable_chart():
-    worst_rel = 0.0
-    for xs, t in ((0.02, 0.3), (0.04, 0.6), (0.08, 1.4)):
-        g0s = el.g0_from_nome(-xs, PAR.g)
-        root = math.sqrt(xs)
-        pp, qq = root * math.cos(g0s * t), root * math.sin(g0s * t)
-        eps = 1e-6
-
-        def s_at(p, q):
-            return dyn.stable_scaled_state(p, q, PAR).beta
-
-        lhs = dyn.stable_scaled_state(pp, qq, PAR).B
-        rhs = g0s * PAR.I * (
-            pp * (s_at(pp, qq + eps) - s_at(pp, qq - eps)) / (2 * eps)
-            - qq * (s_at(pp + eps, qq) - s_at(pp - eps, qq)) / (2 * eps)
-        )
-        worst_rel = max(worst_rel, abs(lhs - rhs) / abs(lhs))
-
-    amp = 1e-7
-    lo, hi = 0.9 * math.pi / PAR.g, 1.1 * math.pi / PAR.g
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if dyn.stable_state(amp, mid, PAR).beta < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    freq = math.pi / (0.5 * (lo + hi))
-    freq_rel = abs(freq - PAR.g) / PAR.g
-
-    report(
-        10,
-        worst_rel <= 1e-8 and freq_rel <= 1e-6,
-        f"angular-derivative relation {worst_rel:.1e} (<=1e-8), small-amplitude "
-        f"frequency defect {freq_rel:.1e} (<=1e-6)",
-    )
+    report_suite(10, "stable")

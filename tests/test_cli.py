@@ -5,12 +5,13 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import pins
-from pendnf import dynamics
+from pendnf import cli, dynamics
 from pendnf.cli import _linspace, main
 
 
@@ -424,6 +425,22 @@ def test_linspace_matches_numpy_exactly(start, stop, num):
 def test_command_surface_keeps_its_bytes(key):
     # help text, usage errors with their exit codes, and parsed values
     pins.check(key)
+
+
+@pytest.mark.parametrize("argv, built", [
+    ([], []),
+    (["map", "--p", "0.3", "--q", "0.2"], ["map"]),
+    (["--x", "coeffs", "--series", "g0"], ["coeffs"]),
+    (["-h", "verify"], ["verify"]),
+])
+def test_only_the_dispatched_command_gets_arguments(argv, built, capsys):
+    # the first word that names a command is the one argparse dispatches to
+    seen = []
+    counted = {name: (help_line, common, lambda p, name=name, add=add: seen.append(name) or add(p))
+               for name, (help_line, common, add) in cli._COMMANDS.items()}
+    with mock.patch.dict(cli._COMMANDS, counted):
+        run_cli(argv)
+    assert seen == built
 
 
 def test_console_script_installed():

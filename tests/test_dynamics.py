@@ -245,6 +245,12 @@ class TestHyperbolicState:
         with pytest.raises(ValueError):
             dyn.hyperbolic_state(1.2, 0.9, par)
 
+    def test_term_cap_names_the_nome(self, par):
+        # x' = 0.99 with p' = 1e300: the terms x'^m p' need more than the cap
+        with pytest.raises(RuntimeError, match=r"^nome series did not converge within the term cap "
+                                               r"at x' = 0\.99$"):
+            dyn.hyperbolic_state(1e300, 0.99e-300, par)
+
 
 class TestCanonicalMap:
     def test_origin(self, par):
@@ -526,6 +532,10 @@ class TestFactorization:
         with pytest.raises(ValueError):
             dyn.factorization_check(0.1, -1.0, par)
 
+    def test_term_cap_names_the_nome(self, par):
+        with pytest.raises(RuntimeError, match=r"^factorization sums did not converge at x' = 0\.999$"):
+            dyn.factorization_check(0.999, 1.0, par)
+
 
 class TestStableChart:
     def test_zero_amplitude_is_equilibrium(self, par):
@@ -595,6 +605,13 @@ class TestStableChart:
             dyn.stable_state(0.9959, 1.0, par)
         with pytest.raises(RuntimeError, match=r"did not converge at x' = -0\.995"):
             dyn.stable_scaled_state(math.sqrt(0.9959), 0.0, par)
+
+    def test_term_cap_names_the_amplitude(self, par):
+        # from about x_s' = 0.9966 the sums pass their cap before the rate's product is taken
+        p = math.sqrt(0.998)
+        with pytest.raises(RuntimeError, match=rf"^stable sums did not converge within the term cap "
+                                               rf"at x_s' = {re.escape(repr(p * p))}$"):
+            dyn.stable_scaled_state(p, 0.0, par)
 
     def test_matches_conjugate_pair_sums(self):
         pins.check("stable_scaled_state/scan")

@@ -522,6 +522,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match="coefficient 2 of the JSON series has denominator 0"):
             RS.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("order", "1", r"^the JSON series' 'order' must be an integer >= 0, got '1'$"),
+        ("order", True, r"^the JSON series' 'order' must be an integer >= 0, got True$"),
+        ("var", 3, r"^the JSON series' 'var' must be a string, got 3$"),
+        ("coeffs", {"0": ["1", "1"]}, r"^the JSON series' 'coeffs' must be a list"),
+    ])
+    def test_json_bad_field_is_named(self, field, value, message):
+        obj = json.loads(RS.from_coeffs([1, 2]).to_json())
+        obj[field] = value
+        with pytest.raises(ValueError, match=message):
+            RS.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("pair, message", [
+        (["1", "1", "3"], r"^coefficient 1 of the JSON series is not a \[numerator, denominator\] pair"),
+        ("2", r"^coefficient 1 of the JSON series is not a \[numerator, denominator\] pair"),
+        (["1", 2.5], r"^coefficient 1 of the JSON series is not a \[numerator, denominator\] pair"),
+        (["a", "1"], r"^coefficient 1 of the JSON series is not a pair of integers: \['a', '1'\]$"),
+    ])
+    def test_json_bad_coefficient_is_named(self, pair, message):
+        obj = json.loads(RS.from_coeffs([1, 2, 3]).to_json())
+        obj["coeffs"][1] = pair
+        with pytest.raises(ValueError, match=message):
+            RS.from_json(json.dumps(obj))
+
+    def test_json_top_level_must_be_an_object(self):
+        with pytest.raises(ValueError, match=r"^a JSON series is an object, got list$"):
+            RS.from_json("[1, 2]")
+
     def test_json_schema(self):
         s = RS.from_coeffs([F(1, 2), 3])
         obj = json.loads(s.to_json())
