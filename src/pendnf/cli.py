@@ -53,7 +53,6 @@ _SERIES = {
     "Us": (lambda order: normal_form.stable_bundle(order).energy, lambda n, s32, g: s32 * g),
 }
 SERIES_NAMES = tuple(_SERIES)
-TRAJECTORY_METHODS = ("closed", "series", "normal", "rk")
 
 
 class CheckResult(NamedTuple):
@@ -442,7 +441,7 @@ def _coeffs_arguments(p: argparse.ArgumentParser):
 
 
 def _trajectory_arguments(p: argparse.ArgumentParser):
-    p.add_argument("--method", choices=TRAJECTORY_METHODS, required=True)
+    p.add_argument("--method", choices=dynamics.TRAJECTORY_METHODS, required=True)
     orbit = p.add_mutually_exclusive_group(required=True)
     orbit.add_argument("--h", type=_positive_float, help="modulus h in (0, 1)")
     orbit.add_argument("--energy", type=_finite_float, help="libration energy (> 0)")

@@ -20,7 +20,7 @@ import cmath
 import functools
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,6 +70,10 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(_FLOAT_MIN)
 # the largest float whose square is finite
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
+TRAJECTORY_METHODS = ("closed", "series", "normal", "rk")
+# builds a NamedTuple from the tuple of its fields, without the Python-level
+# __new__ the class generates: _new(PhaseState, (B, beta))
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,11 @@ class PendulumParams:
             raise ValueError(
                 f"32*I*g and 32*I*g^2 must be finite and positive, got I = {self.I}, g = {self.g}"
             )
+        # the cached charts look their params up once or twice per sample
+        object.__setattr__(self, "_hash", hash((self.I, self.g)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def action_scale(self) -> float:
@@ -146,9 +155,15 @@ def hamiltonian(state: PhaseState, par: PendulumParams) -> float:
     positive for librations, -2 I g^2 at the bottom.  Past |B| = sqrt(float
     max), where B^2 overflows while H need not, the kinetic term is B (B/(2I)).
     """
-    B = state.B
-    kinetic = B**2 / (2.0 * par.I) if abs(B) <= _SQRT_FLOAT_MAX else B * (B / (2.0 * par.I))
-    return kinetic - par.I * par.g**2 * (1.0 - math.cos(state.beta))
+    return _energies((state,), par)[0]
+
+
+def _energies(states: Iterable[PhaseState], par: PendulumParams) -> list[float]:
+    """hamiltonian of each state, with 2I and I g^2 formed once."""
+    two_i = 2.0 * par.I
+    igg = par.I * par.g**2
+    return [(B**2 / two_i if abs(B) <= _SQRT_FLOAT_MAX else B * (B / two_i)) - igg * (1.0 - math.cos(beta))
+            for B, beta in states]
 
 
 def energy_from_nome(x_prime: float, par: PendulumParams) -> float:
@@ -189,7 +204,7 @@ def closed_form_state(t: float, mod: Modulus, par: PendulumParams) -> PhaseState
     # bounded angle between the unit vectors (cn, sn) and (cn, h*sn)/dn;
     # adding it to the unwrapped amplitude keeps beta continuous
     correction = math.atan2((mod.h - 1.0) * sn * cn, cn * cn + mod.h * sn * sn)
-    return PhaseState(B, 2.0 * (am + correction))
+    return _new(PhaseState, (B, 2.0 * (am + correction)))
 
 
 def series_state(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
@@ -207,14 +222,14 @@ def series_state(x_prime: float, t: float, par: PendulumParams) -> PhaseState:
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     if x_prime == 0.0:
-        return PhaseState(B=0.0, beta=0.0)
+        return _new(PhaseState, (0.0, 0.0))
     g0 = elliptic.g0_from_nome(x_prime, par.g)
     if abs(g0 * t) > _LOG_FLOAT_MAX:
         return _whole_periods(lambda s: series_state(x_prime, s, par), x_prime, g0, t)
     e = math.exp(g0 * t)
     root = math.sqrt(x_prime)
     s_sum, r_sum = _arctan_sums((1.0 / e) * root, e * root, x_prime)
-    return PhaseState(4.0 * par.I * g0 * r_sum, 4.0 * s_sum)
+    return _new(PhaseState, (4.0 * par.I * g0 * r_sum, 4.0 * s_sum))
 
 
 def _whole_periods(chart: Callable, x_prime: float, g0: float, t: float) -> PhaseState:
@@ -226,7 +241,7 @@ def _whole_periods(chart: Callable, x_prime: float, g0: float, t: float) -> Phas
     reduced -= period * round(reduced / period)
     state = chart(reduced)
     turns = round((t - reduced) / period)
-    return PhaseState(B=state.B, beta=state.beta + 2.0 * math.pi * turns)
+    return _new(PhaseState, (state.B, state.beta + 2.0 * math.pi * turns))
 
 
 def hyperbolic_state(p: float, q: float, par: PendulumParams) -> PhaseState:
@@ -240,7 +255,7 @@ def hyperbolic_state(p: float, q: float, par: PendulumParams) -> PhaseState:
         raise ValueError(f"the hyperbolic sums require |p'q'| < 1, got {x}")
     g0 = elliptic.g0_from_nome(x, par.g)
     s_sum, r_sum = _arctan_sums(p, q, x)
-    return PhaseState(4.0 * par.I * g0 * r_sum, 4.0 * s_sum)
+    return _new(PhaseState, (4.0 * par.I * g0 * r_sum, 4.0 * s_sum))
 
 
 def _arctan_sums(p: float, q: float, x: float) -> tuple[float, float]:
@@ -383,7 +398,7 @@ def normal_flow(n: NormalCoords, t: float, par: PendulumParams) -> NormalCoords:
             raise OverflowError
     except (OverflowError, ZeroDivisionError):
         raise OverflowError(f"the flow leaves the normal float range at t = {t}, g0 = {g0}") from None
-    return NormalCoords(p, q)
+    return _new(NormalCoords, (p, q))
 
 
 def jacobian_det(n: NormalCoords, par: PendulumParams) -> float:
@@ -394,7 +409,7 @@ def jacobian_det(n: NormalCoords, par: PendulumParams) -> float:
     step = 1e-5 * math.sqrt(par.action_scale)
 
     def at(p: float, q: float) -> PhaseState:
-        return canonical_from_normal(NormalCoords(p, q), par)
+        return canonical_from_normal(_new(NormalCoords, (p, q)), par)
 
     p_hi, p_lo = at(n.p + step, n.q), at(n.p - step, n.q)
     q_hi, q_lo = at(n.p, n.q + step), at(n.p, n.q - step)
@@ -466,7 +481,7 @@ def factorization_check(
     factored = 32.0 * par.I * g0 * g0 * (p * u_p + q * v_q) * (p * v_p + q * u_q)
     direct = energy_from_nome(x_prime, par)
     rel = abs(factored - direct) / abs(direct)
-    return FactorizationReport(energy_factored=factored, energy_direct=direct, rel_diff=rel)
+    return _new(FactorizationReport, (factored, direct, rel))
 
 
 def stable_scaled_state(p: float, q: float, par: PendulumParams) -> PhaseState:
@@ -503,7 +518,7 @@ def stable_scaled_state(p: float, q: float, par: PendulumParams) -> PhaseState:
         raise RuntimeError(f"stable sums did not converge within the term cap at x_s' = {xs}")
     g0s = elliptic.g0_from_nome(-xs, par.g)
     # 0.0 - ... keeps an angle of zero at +0.0
-    return PhaseState(B=-4.0 * par.I * g0s * r_sum, beta=0.0 - 4.0 * s_sum)
+    return _new(PhaseState, (-4.0 * par.I * g0s * r_sum, 0.0 - 4.0 * s_sum))
 
 
 def stable_state(x_s_prime: float, t: float, par: PendulumParams) -> PhaseState:
@@ -565,8 +580,10 @@ def trajectory(
     """Sample the libration that crosses beta = 0 at t = 0 with B(0) > 0,
     on a uniform time grid, in the requested representation.
     """
+    if method not in TRAJECTORY_METHODS:
+        raise ValueError(f"unknown trajectory method {method!r}")
     times = _time_grid(t0, t1, dt)
-    if method in ("closed", "series", "normal") and mod.h_prime == 1.0:
+    if method != "rk" and mod.h_prime == 1.0:
         raise ValueError(
             f"h = {mod.h} is too small for the {method} method: its complement h' rounds to 1, as "
             f"sqrt(1 - h^2) does for every h <= 2^-27 = 7.45e-09; the rk method (--method rk) answers there"
@@ -585,7 +602,7 @@ def trajectory(
                 f"{x_prime}: use the closed or series method"
             )
         a = math.sqrt(par.action_scale * _rescale_sq(x_prime)[0])
-        start = NormalCoords(a * math.sqrt(x_prime), a * math.sqrt(x_prime))
+        start = _new(NormalCoords, (a * math.sqrt(x_prime), a * math.sqrt(x_prime)))
         # the nome and rate normal_flow takes; the flowed coordinates
         # start.p / e and start.q e stay normal floats while g0 |t| <= limit
         flow_nome, _, g0 = _action_orbit(start.x, par)
@@ -596,14 +613,11 @@ def trajectory(
 
         states = [state(t) if abs(g0 * t) <= limit else _whole_periods(state, flow_nome, g0, t)
                   for t in times]
-    elif method == "rk":
-        start = PhaseState(B=2.0 * par.I * par.g / mod.k, beta=0.0)
-        states = _rk_batch(start, par, times, tol)
     else:
-        raise ValueError(f"unknown trajectory method {method!r}")
-    return [
-        TrajectoryRecord(t, s.B, s.beta, hamiltonian(s, par), method) for t, s in zip(times, states)
-    ]
+        start = _new(PhaseState, (2.0 * par.I * par.g / mod.k, 0.0))
+        states = _rk_batch(start, par, times, tol)
+    return [_new(TrajectoryRecord, (t, B, beta, energy, method))
+            for t, (B, beta), energy in zip(times, states, _energies(states, par))]
 
 
 def _rk_batch(
@@ -629,4 +643,4 @@ def _rk_batch(
                     rtol=tol, atol=tol * max(1.0, par.I * par.g), t_eval=times)
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")
-    return [PhaseState(B, beta) for beta, B in zip(*sol.y.tolist())]
+    return [_new(PhaseState, (B, beta)) for beta, B in zip(*sol.y.tolist())]

@@ -91,6 +91,12 @@ SCAN_PARAMS = (PendulumParams(1.0, 1.0), PendulumParams(0.37, 2.3), PendulumPara
 ORBITS = ((1e-8, "unit", 0.0), (1e-3, "b", 2.5), (0.05, "unit", 2.5), (0.3, "b", 0.0),
           (0.6, "unit", 0.0), (0.9, "b", 2.5), (0.97, "unit", 2.5), (0.99, "b", 0.0))
 
+# the same orbits started far out, where the charts take whole periods off t
+FAR_ORBITS = tuple((h, which, t0) for h, which, _ in ORBITS for t0 in (1e3, 1e5))
+# params at which an orbit's momentum squared passes the largest float while
+# its energy does not
+SCALE_PARAMS = PendulumParams(I=1e300, g=1e-5)
+
 # `verify --suite all` at (I, g) with one option -> key
 VERIFY = {(I, g, option): f"verify/{I}/{g}" + (f"/{option[2:].replace(' ', '=')}" if option else "")
           for I, g in (("0.37", "2.3"), ("2.5", "0.7"), ("1e-3", "40"), ("123", "0.013"), ("3", "3"))
@@ -180,9 +186,14 @@ def _map(which):
     )) for n in _map_points(par, MAP_SEEDS[which], 100))
 
 
-def _orbits(method):
-    return digest([line for h, which, t0 in ORBITS for line in _records(
+def _orbits(method, orbits=ORBITS):
+    return digest([line for h, which, t0 in orbits for line in _records(
         dyn.trajectory(method, Modulus.from_h(h), PARAMS[which], t0, t0 + 10.0, 0.01))])
+
+
+def _orbit_scale(method):
+    """One orbit of h = 0.3 through about two turns at SCALE_PARAMS."""
+    return digest(_records(dyn.trajectory(method, Modulus.from_h(0.3), SCALE_PARAMS, 0.0, 1e6, 1e4)))
 
 
 for _args, _key in VERIFY.items():
@@ -191,8 +202,11 @@ for _args, _key in NORMAL_TRAJECTORIES.items():
     _pin(_key, *_args)(_normal_trajectory)
 for _which in MAP_SEEDS:
     _pin(f"map/{_which}", _which)(_map)
-for _method in ("closed", "series", "normal"):
+for _method in ("closed", "series", "normal", "rk"):
     _pin(f"orbits/{_method}", _method)(_orbits)
+    _pin(f"orbits_scale/{_method}", _method)(_orbit_scale)
+for _method in ("closed", "series", "normal"):
+    _pin(f"orbits_far/{_method}", _method, FAR_ORBITS)(_orbits)
 
 
 @_pin("rk_oracle/endpoints")

@@ -701,9 +701,37 @@ class TestTrajectory:
             with pytest.raises(AttributeError):
                 recs[0].B = 0.0
 
-    def test_unknown_method(self, par):
-        with pytest.raises(ValueError):
-            dyn.trajectory("euler", Modulus.from_h(0.3), par, 0.0, 1.0, 0.5)
+    def test_unknown_method(self, par, monkeypatch):
+        # named before the grid is checked, and before a legal grid is built
+        with pytest.raises(ValueError, match="^unknown trajectory method 'bogus'$"):
+            dyn.trajectory("bogus", Modulus.from_h(0.3), par, 0.0, 1.0, -1.0)
+
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(dyn, "_time_grid", no_grid)
+        with pytest.raises(ValueError, match="^unknown trajectory method 'euler'$"):
+            dyn.trajectory("euler", Modulus.from_h(0.3), par, 0.0, 1e9, 1e-3)
+
+    @pytest.mark.parametrize("h", [1e-6, 0.3, 0.9])
+    @pytest.mark.parametrize("t0", [0.0, 1e3])
+    @pytest.mark.parametrize("which", sorted(PARAMS))
+    def test_records_are_the_per_sample_definition(self, h, t0, which):
+        # each record holds a chart's state at t and hamiltonian of that state
+        par, mod = PARAMS[which], Modulus.from_h(h)
+        x_prime = el.nome_from_h(mod)
+        charts = {"closed": lambda t: dyn.closed_form_state(t, mod, par),
+                  "series": lambda t: dyn.series_state(x_prime, t, par)}
+        times = dyn._time_grid(t0, t0 + 2.0, 0.05)
+        for method in ("closed", "series", "normal", "rk"):
+            recs = dyn.trajectory(method, mod, par, t0, t0 + 2.0, 0.05)
+            assert [r.t for r in recs] == times
+            for r in recs:
+                assert all(type(v) is float for v in (r.t, r.B, r.beta, r.energy))
+                assert r.energy == dyn.hamiltonian(PhaseState(r.B, r.beta), par)
+            if method in charts:
+                assert recs == [dyn.TrajectoryRecord(t, s.B, s.beta, dyn.hamiltonian(s, par), method)
+                                for t, s in zip(times, map(charts[method], times))]
 
     def test_grid_validation(self, par):
         with pytest.raises(ValueError):
@@ -747,6 +775,11 @@ class TestParams:
 
     def test_action_scale(self, par_phys):
         assert par_phys.action_scale == 32.0 * 2.5 * 0.7
+
+    def test_hash_of_the_fields(self):
+        # formed once at construction, the value the dataclass hash gave
+        assert hash(PendulumParams(0.37, 2.3)) == hash(PendulumParams(0.37, 2.3)) == hash((0.37, 2.3))
+        assert PendulumParams(0.37, 2.3) == PendulumParams(0.37, 2.3) != PendulumParams(0.37, 2.4)
 
 
 def _time_grid_floor(t0, t1, dt):
@@ -810,6 +843,13 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("which", sorted(pins.MAP_SEEDS))
     def test_map_outputs(self, which):
         pins.check(f"map/{which}")
+
+    @pytest.mark.parametrize("key", ["orbits/rk", *sorted(
+        k for k in pins.PRODUCERS if k.startswith(("orbits_far/", "orbits_scale/")))])
+    def test_orbits(self, key):
+        # the rk energy column, the whole-period branches far from t = 0, and
+        # the kinetic term B (B/(2I)) where B^2 overflows
+        pins.check(key)
 
 
 class TestNomeCache:
@@ -929,8 +969,9 @@ class TestOrbitCaches:
         pins.check(f"orbits/{method}")
 
     def test_rk_bytes(self):
-        # DOP853's last bits belong to the installed scipy and numpy, so the
-        # reference trajectory is compared in-process, not against a digest
+        # DOP853's last bits belong to the installed scipy and numpy, so
+        # besides the digest orbits/rk the reference trajectory is compared
+        # in-process
         for h, which, t0 in ORBITS:
             par = PARAMS[which]
             mod = Modulus.from_h(h)

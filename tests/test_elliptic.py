@@ -307,13 +307,6 @@ class TestLegendre:
             el.legendre_defect(swapped), abs=1e-13
         )
 
-    def test_grid_sweep(self):
-        worst = max(
-            abs(el.legendre_defect(Modulus.from_h(float(h))))
-            for h in np.linspace(0.05, 0.95, 50)
-        )
-        assert worst < 1e-12
-
     def test_reference_from_quadrature(self):
         # the same combination built purely from quadrature must also vanish
         h = 0.37
