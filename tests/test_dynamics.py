@@ -8,16 +8,16 @@ import math
 import random
 import re
 import sys
+import types
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 import pins
 from pendnf import cli, dynamics as dyn, elliptic as el, normal_form as nf
 from pendnf.dynamics import NormalCoords, PendulumParams, PhaseState
 from pendnf.elliptic import Modulus
-from pins import ORBITS, PARAMS
+from pins import PARAMS
 
 
 class TestHamiltonian:
@@ -55,13 +55,6 @@ class TestClosedForm:
         s = dyn.closed_form_state(0.0, mod, par)
         assert s.beta == 0.0
         assert s.B == pytest.approx(2 * par.I * par.g / mod.k, rel=1e-15)
-
-    def test_energy_conserved(self, par):
-        mod = Modulus.from_h(0.3)
-        energy = 2 * par.g**2 * par.I / mod.k**2
-        for t in np.linspace(0.0, 10.0 / par.g, 101):
-            h = dyn.hamiltonian(dyn.closed_form_state(float(t), mod, par), par)
-            assert abs(h - energy) / energy < 1e-11
 
     def test_matches_reference_integrator(self, par):
         mod = Modulus.from_k(1.0)
@@ -455,11 +448,6 @@ class TestJacobianDeterminant:
             for n in (NormalCoords(t, x / t), NormalCoords(-1.3 * t, x / (-1.3 * t))):
                 assert abs(dyn.jacobian_det(n, par) - 1.0) < 1e-6
 
-    def test_unit_on_axes(self, par):
-        edge = 0.45 * math.sqrt(par.action_scale)
-        assert abs(dyn.jacobian_det(NormalCoords(0.0, edge), par) - 1.0) < 1e-6
-        assert abs(dyn.jacobian_det(NormalCoords(edge, 0.0), par) - 1.0) < 1e-6
-
     def test_unit_for_physical_parameters(self, par_phys):
         n = NormalCoords(0.2 * math.sqrt(par_phys.action_scale), 0.3)
         assert abs(dyn.jacobian_det(n, par_phys) - 1.0) < 1e-6
@@ -494,23 +482,7 @@ class TestJacobianDeterminant:
         assert abs(det - 1.0) > 1e-3
 
 
-class TestEnergySlope:
-    def test_matches_rate(self, par):
-        for x_prime in (0.02, 0.05, 0.1):
-            slope, g0 = dyn.normal_energy_slope(x_prime, par)
-            assert abs(slope - g0) / g0 < 1e-6
-
-    def test_matches_rate_physical(self, par_phys):
-        slope, g0 = dyn.normal_energy_slope(0.05, par_phys)
-        assert abs(slope - g0) / g0 < 1e-6
-
-
 class TestFactorization:
-    def test_matches_direct_energy(self, par):
-        for gamma in (0.5, 1.0, 2.0):
-            rep = dyn.factorization_check(0.1, gamma, par)
-            assert rep.rel_diff < 1e-8
-
     def test_gamma_independent(self, par):
         values = [
             dyn.factorization_check(0.1, float(g), par).energy_factored
@@ -543,7 +515,8 @@ class TestStableChart:
         assert (s.B, s.beta) == (0.0, 0.0)
 
     def test_differential_relation(self, par):
-        for xs, t in ((0.02, 0.3), (0.04, 0.6), (0.08, 1.4)):
+        # (0.04, 0.6) is the stable suite's stable_differential_relation
+        for xs, t in ((0.02, 0.3), (0.08, 1.4)):
             g0s = el.g0_from_nome(-xs, par.g)
             root = math.sqrt(xs)
             pp, qq = root * math.cos(g0s * t), root * math.sin(g0s * t)
@@ -570,8 +543,8 @@ class TestStableChart:
             else:
                 hi = mid
         freq = math.pi / (0.5 * (lo + hi))
+        # against g itself at 1e-6 is the stable suite's stable_small_amplitude_frequency
         assert abs(freq - g0s) / g0s < 1e-9
-        assert abs(freq - par.g) / par.g < 1e-6
 
     def test_energy_matches_stable_product(self, par):
         for xs in (0.01, 0.05, 0.15):
@@ -670,6 +643,14 @@ class TestReferenceIntegrator:
 
     def test_pinned_endpoints(self):
         pins.check("rk_oracle/endpoints")
+
+    def test_failed_integration_is_named(self, par, monkeypatch):
+        # the error carries the solver's own message
+        message = "Required step size is less than spacing between numbers."
+        monkeypatch.setattr(dyn, "solve_ivp", lambda *args, **kwargs: types.SimpleNamespace(
+            success=False, message=message))
+        with pytest.raises(RuntimeError, match=f"^reference integration failed: {re.escape(message)}$"):
+            dyn.trajectory("rk", Modulus.from_h(0.3), par, 0.0, 1.0, 0.5)
 
 
 class TestTrajectory:
@@ -905,21 +886,12 @@ class TestNomeCache:
             assert cli.main(["map", "--p", "0.31", "--q", "0.27"]) == 0
         assert dyn._action_orbit.cache_info().misses == 1
 
-    def test_normal_trajectory_reuses_the_start_action(self, par):
-        dyn._action_orbit.cache_clear()
-        recs = dyn.trajectory("normal", Modulus.from_h(0.3), par, 0.0, 10.0, 0.01)
-        info = dyn._action_orbit.cache_info()
-        assert len(recs) == 1001
-        # two lookups per sample, and one per trajectory for the flow's nome
-        assert info.hits + info.misses == 2003
-        assert info.misses <= 4
-        assert info.currsize <= 4
-
     @pytest.mark.parametrize("h", [1e-8, 1e-4, 0.01, 0.3, 0.6, 0.9, 0.99])
     @pytest.mark.parametrize("which", sorted(PARAMS))
     def test_at_most_four_solves_per_normal_orbit(self, h, which):
         # the flowed action cycles through 3-4 rounded values; with four
-        # entries each is solved once (up to 146 solves with two)
+        # entries each is solved once (up to 146 solves with two).  Two
+        # lookups per sample, and one per trajectory for the flow's nome
         assert dyn._action_orbit.cache_info().maxsize == 4
         dyn._action_orbit.cache_clear()
         recs = dyn.trajectory("normal", Modulus.from_h(h), PARAMS[which], 0.0, 10.0, 0.01)
@@ -943,17 +915,6 @@ class TestActionOrbit:
         pins.check(f"action_orbit/{which}")
 
 
-def _rk_batch_per_call_constants(state0, par, times, tol):
-    """_rk_batch with the right-hand side reading I and I g^2 off par at
-    every call, as it did before they were bound once."""
-    def rhs(_t, y):
-        return [y[1] / par.I, par.I * par.g**2 * math.sin(y[0])]
-
-    sol = solve_ivp(rhs, (0.0, times[-1]), [state0.beta, state0.B], method="DOP853",
-                    rtol=tol, atol=tol * max(1.0, par.I * par.g), t_eval=times)
-    return [PhaseState(B=B, beta=beta) for beta, B in sol.y.T]
-
-
 class TestOrbitCaches:
     """The per-orbit invariants (g0, the action's record, the AGM pass) are
     computed once per orbit, and every trajectory keeps its bits."""
@@ -968,32 +929,14 @@ class TestOrbitCaches:
         # and again from warm caches
         pins.check(f"orbits/{method}")
 
-    def test_rk_bytes(self):
-        # DOP853's last bits belong to the installed scipy and numpy, so
-        # besides the digest orbits/rk the reference trajectory is compared
-        # in-process
-        for h, which, t0 in ORBITS:
-            par = PARAMS[which]
-            mod = Modulus.from_h(h)
-            times = dyn._time_grid(t0, t0 + 10.0, 0.01)
-            start = PhaseState(B=2.0 * par.I * par.g / mod.k, beta=0.0)
-            got = dyn.trajectory("rk", mod, par, t0, t0 + 10.0, 0.01)
-            want = _rk_batch_per_call_constants(start, par, times, 1e-10)
-            assert [(r.B.hex(), r.beta.hex()) for r in got] == [
-                (s.B.hex(), s.beta.hex()) for s in want]
-
     @pytest.mark.parametrize("h", [1e-8, 0.01, 0.3, 0.9, 0.99])
     def test_normal_trajectory_misses(self, h, par):
-        # the flowed action takes a few rounded values along one orbit, and
-        # p'q' a few more: each is computed once, not once per sample
+        # p'q' takes a few rounded values along one orbit: each rate is
+        # computed once, not once per sample
         el._g0_product.cache_clear()
         dyn._action_orbit.cache_clear()
-        recs = dyn.trajectory("normal", Modulus.from_h(h), par, 0.0, 10.0, 0.01)
-        assert len(recs) == 1001
+        dyn.trajectory("normal", Modulus.from_h(h), par, 0.0, 10.0, 0.01)
         orbit = dyn._action_orbit.cache_info()
-        # the flow and the map read the action's record once each per
-        # sample, and the trajectory once for the flow's nome and rate
-        assert orbit.misses <= 4 and orbit.hits + orbit.misses == 2003
         g0 = el._g0_product.cache_info()
         # the hyperbolic chart's rate once per sample, and one per record
         assert g0.misses <= 8 and g0.hits + g0.misses == 1001 + orbit.misses

@@ -3,7 +3,6 @@ through the elliptic kernel, so the exact-arithmetic route and the floating
 route stay independent."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -108,10 +107,6 @@ class TestRescalingIdentity:
     def test_low_order(self):
         assert nf.rescaling_identity_check(10).passed
 
-    def test_order_200(self):
-        report = nf.rescaling_identity_check(200)
-        assert report.passed and report.first_mismatch is None
-
     def test_detects_perturbation(self):
         lhs = nf.jacobian_series(12)
         a2 = nf.rescale_sq_series(11)
@@ -141,11 +136,6 @@ class TestRescalingIdentity:
 
 
 class TestNormalEnergy:
-    def test_headline_coefficients(self):
-        s = nf.normal_energy_series(6)
-        assert s.coeffs[1] == 1
-        assert s.coeffs[2:7] == (F(2), F(-4), F(20), F(-132), F(1008))
-
     def test_alternating_signs_to_50(self):
         assert nf.alternating_signs_hold(50)
 
@@ -204,9 +194,6 @@ class TestThetaLogDeriv:
         report = nf.theta_logderiv_check(1)
         assert report.passed
 
-    def test_order_30(self):
-        assert nf.theta_logderiv_check(30).passed
-
     def test_order_200(self):
         assert nf.theta_logderiv_check(200).passed
 
@@ -232,13 +219,6 @@ class TestThetaLogDeriv:
         monkeypatch.setattr(nf, "g0_series", perturbed)
         report = nf.theta_logderiv_check(40)
         assert not report.passed and report.first_mismatch == k
-
-
-class TestIntegerCoefficients:
-    def test_to_order_200(self):
-        assert integer_coefficients_start(nf.g0_series(200))
-        assert integer_coefficients_start(nf.energy_series(200), start=1)
-        assert integer_coefficients_start(nf.jacobian_series(200))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
