@@ -60,14 +60,17 @@ class Modulus:
     k: float
 
     def __post_init__(self):
+        # each test is written so that a NaN field fails it
         if not 0.0 <= self.h < 1.0:
             raise ValueError(f"h must lie in [0, 1), got {self.h}")
-        if abs(self.h * self.h + self.h_prime * self.h_prime - 1.0) > 1e-14:
+        if not 0.0 < self.h_prime <= 1.0:
+            raise ValueError(f"h_prime must lie in (0, 1], got {self.h_prime}")
+        if not abs(self.h * self.h + self.h_prime * self.h_prime - 1.0) <= 1e-14:
             raise ValueError("h^2 + h_prime^2 must equal 1")
         if self.h == 0.0:
             if self.k != math.inf:
                 raise ValueError("h = 0 requires k = inf")
-        elif abs(self.k * self.h - self.h_prime) > 1e-13 * max(1.0, self.h_prime):
+        elif not abs(self.k * self.h - self.h_prime) <= 1e-13 * max(1.0, self.h_prime):
             raise ValueError("k*h must equal h_prime")
 
     @classmethod
@@ -96,6 +99,11 @@ class Modulus:
         """Modulus of the libration with the given (positive) energy."""
         if energy <= 0.0:
             raise ValueError("only motions above the separatrix (energy > 0) have a real modulus")
+        if not math.isfinite(energy):
+            raise ValueError(f"energy must be finite, got {energy}")
+        for name, value in (("inertia", inertia), ("g", g)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         return cls.from_k(g * math.sqrt(2.0 * inertia / energy))
 
 

@@ -1,5 +1,5 @@
-"""Elliptic kernel tests: quadrature and ODE oracles, classical identities,
-domain errors."""
+"""Elliptic kernel tests: classical identities, pinned bits, caches, domain
+errors.  The kernel's high-precision oracle is mpmath, in test_oracles."""
 
 import math
 import random
@@ -8,45 +8,13 @@ import re
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.integrate import quad, solve_ivp
 
 import pins
 from pendnf import elliptic as el
 from pendnf.elliptic import Modulus
 
 
-def quad_K(m):
-    return quad(
-        lambda a: (1.0 - (m * math.sin(a)) ** 2) ** -0.5,
-        0.0, math.pi / 2, epsabs=1e-14, epsrel=1e-14,
-    )[0]
-
-
-def quad_E(m):
-    return quad(
-        lambda a: (1.0 - (m * math.sin(a)) ** 2) ** 0.5,
-        0.0, math.pi / 2, epsabs=1e-14, epsrel=1e-14,
-    )[0]
-
-
-def amplitude_ode(u, m):
-    """Independent amplitude: integrate dphi/du = sqrt(1 - m^2 sin^2 phi)."""
-    sol = solve_ivp(
-        lambda _t, y: [math.sqrt(1.0 - (m * math.sin(y[0])) ** 2)],
-        (0.0, u), [0.0], method="DOP853", rtol=1e-13, atol=1e-13,
-    )
-    assert sol.success
-    return sol.y[0, -1]
-
-
 class TestCompleteIntegrals:
-    def test_k_at_zero(self):
-        assert el.complete_k(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-
-    def test_k_against_quadrature(self):
-        for m in (0.2, 0.5, 0.9):
-            assert el.complete_k(m) == pytest.approx(quad_K(m), rel=1e-12)
-
     def test_k_monotonic(self):
         grid = np.linspace(0.0, 0.99, 60)
         values = [el.complete_k(float(m)) for m in grid]
@@ -58,12 +26,7 @@ class TestCompleteIntegrals:
                 el.complete_k(bad)
 
     def test_e_endpoints(self):
-        assert el.complete_e(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
         assert el.complete_e(1.0) == 1.0
-
-    def test_e_against_quadrature(self):
-        for m in (0.3, 0.5, 0.95):
-            assert el.complete_e(m) == pytest.approx(quad_E(m), rel=1e-12)
 
     def test_e_domain(self):
         for bad in (-0.2, 1.1):
@@ -87,15 +50,6 @@ class TestJacobiFunctions:
         u = 1.7
         am, sn, cn, dn = el.jacobi_elliptic(u, 0.0)
         assert (am, sn, cn, dn) == (u, math.sin(u), math.cos(u), 1.0)
-
-    def test_against_amplitude_ode(self):
-        u, m = 1.0, 0.7
-        am, sn, cn, dn = el.jacobi_elliptic(u, m)
-        phi = amplitude_ode(u, m)
-        assert am == pytest.approx(phi, abs=1e-10)
-        assert sn == pytest.approx(math.sin(phi), abs=1e-10)
-        assert cn == pytest.approx(math.cos(phi), abs=1e-10)
-        assert dn == pytest.approx(math.sqrt(1 - (m * math.sin(phi)) ** 2), abs=1e-10)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -159,6 +113,13 @@ class TestModulus:
         (-0.6, 0.8, 1.0, "h must lie in [0, 1), got -0.6"),
         (0.0, 1.0, 5.0, "h = 0 requires k = inf"),
         (0.6, 0.8, 1.0, "k*h must equal h_prime"),
+        # NaN fails every test, and h' must be positive
+        (math.nan, 0.8, 1.0, "h must lie in [0, 1), got nan"),
+        (0.6, math.nan, 4 / 3, "h_prime must lie in (0, 1], got nan"),
+        (0.6, 0.8, math.nan, "k*h must equal h_prime"),
+        (0.0, 1.0, math.nan, "h = 0 requires k = inf"),
+        (0.6, -0.8, -4 / 3, "h_prime must lie in (0, 1], got -0.8"),
+        (0.0, -1.0, math.inf, "h_prime must lie in (0, 1], got -1.0"),
     ])
     def test_direct_construction_checks_invariants(self, h, h_prime, k, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -167,8 +128,19 @@ class TestModulus:
     def test_from_energy(self):
         mod = Modulus.from_energy(2.0, 1.0, 1.0)
         assert mod.k == pytest.approx(1.0, rel=1e-14)
-        with pytest.raises(ValueError):
-            Modulus.from_energy(-1.0, 1.0, 1.0)
+        separatrix = "only motions above the separatrix (energy > 0) have a real modulus"
+        for args, message in (
+            ((-1.0, 1.0, 1.0), separatrix),
+            ((-math.inf, 1.0, 1.0), separatrix),
+            ((math.nan, 1.0, 1.0), "energy must be finite, got nan"),
+            ((math.inf, 1.0, 1.0), "energy must be finite, got inf"),
+            ((2.0, -1.0, 1.0), "inertia must be positive and finite, got -1.0"),
+            ((2.0, math.inf, 1.0), "inertia must be positive and finite, got inf"),
+            ((2.0, 1.0, 0.0), "g must be positive and finite, got 0.0"),
+            ((2.0, 1.0, math.nan), "g must be positive and finite, got nan"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Modulus.from_energy(*args)
 
 
 class TestNome:
@@ -197,22 +169,11 @@ class TestNome:
         h_back = math.sqrt(1.0 - root_hp**4)
         assert h_back == pytest.approx(0.5, abs=1e-12)
 
-    def test_lambda_matches_theta_quotient(self):
-        mod = Modulus.from_h(0.6)
-        assert el.lambda_from_h(mod) == pytest.approx(
-            el.lambda_from_nome(el.nome_from_h(mod)), abs=1e-12
-        )
-
     def test_lambda_endpoints(self):
         assert el.lambda_from_h(Modulus.from_h(0.0)) == 0.0
         # lambda -> 1/2 like 1/2 - sqrt(h') as the complementary modulus dies
         near_one = Modulus.from_k(1e-6)
         assert el.lambda_from_h(near_one) == pytest.approx(0.5, abs=2e-3)
-
-    def test_strictly_increasing(self):
-        grid = np.linspace(0.01, 0.99, 100)
-        nomes = [el.nome_from_h(Modulus.from_h(float(h))) for h in grid]
-        assert all(a < b for a, b in zip(nomes, nomes[1:]))
 
     def test_h_round_trip(self):
         for h in (0.1, 0.5, 0.9):
@@ -306,13 +267,6 @@ class TestLegendre:
         assert el.legendre_defect(mod) == pytest.approx(
             el.legendre_defect(swapped), abs=1e-13
         )
-
-    def test_reference_from_quadrature(self):
-        # the same combination built purely from quadrature must also vanish
-        h = 0.37
-        hp = math.sqrt(1 - h * h)
-        defect = quad_E(h) * quad_K(hp) + quad_E(hp) * quad_K(h) - quad_K(h) * quad_K(hp)
-        assert defect - math.pi / 2 == pytest.approx(0.0, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):

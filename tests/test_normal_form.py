@@ -19,14 +19,8 @@ from pendnf import elliptic as el, normal_form as nf
 from pendnf.elliptic import Modulus
 from pendnf.series import RationalSeries, product_series
 
-from helpers import integer_coefficients_start
-
 
 class TestRateSeries:
-    def test_leading_coefficients(self):
-        s = nf.g0_series(4)
-        assert s.coeffs[:3] == (F(1), F(4), F(12))
-
     def test_order_zero(self):
         assert nf.g0_series(0).coeffs == (F(1),)
 
@@ -52,14 +46,6 @@ class TestRateSeries:
 
 
 class TestEnergySeries:
-    def test_leading_term(self):
-        s = nf.energy_series(5)
-        assert s.coeffs[0] == 0 and s.coeffs[1] == 1
-
-    def test_positive_integers_low_order(self):
-        s = nf.energy_series(30)
-        assert integer_coefficients_start(s, start=1)
-
     def test_kernel_round_trip(self):
         # series energy at x' = 0.05 against 2 g^2 I / k^2 with h from the
         # inverse nome (I = 1/32, g = 1 in the normalization)
@@ -68,18 +54,8 @@ class TestEnergySeries:
         direct = 2.0 * (1.0 / 32.0) / mod.k**2
         assert nf.energy_series(60)(x) == pytest.approx(direct, rel=1e-10)
 
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            nf.energy_series(0)
-
 
 class TestJacobianSeries:
-    def test_constant_term(self):
-        assert nf.jacobian_series(5).coeffs[0] == 1
-
-    def test_positive_integers_low_order(self):
-        assert integer_coefficients_start(nf.jacobian_series(30))
-
     def test_finite_difference_oracle(self):
         # D = (dU/dx')/g0 from kernel-route float evaluations at x' = 0.03
         x, step = 0.03, 1e-5
@@ -104,9 +80,6 @@ class TestRescaleSeries:
 
 
 class TestRescalingIdentity:
-    def test_low_order(self):
-        assert nf.rescaling_identity_check(10).passed
-
     def test_detects_perturbation(self):
         lhs = nf.jacobian_series(12)
         a2 = nf.rescale_sq_series(11)
@@ -146,10 +119,6 @@ class TestNormalEnergy:
         composed = slope.compose(nf.x_of_nome_series(order))
         assert composed.coeffs == nf.g0_series(order).coeffs
 
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            nf.normal_energy_series(1)
-
 
 class TestStableBundle:
     def test_rate_is_alternating_image(self):
@@ -158,17 +127,6 @@ class TestStableBundle:
         assert b.g0.coeffs == tuple(
             c if n % 2 == 0 else -c for n, c in enumerate(hyper.coeffs)
         )
-
-    def test_w_coefficients(self):
-        w = nf.stable_bundle(6).normal_energy
-        assert w.coeffs[1:7] == (F(1), F(-2), F(-4), F(-20), F(-132), F(-1008))
-
-    def test_energy_relation_exact(self):
-        order = 20
-        calu = nf.normal_energy_series(order)
-        w = nf.stable_bundle(order).normal_energy
-        for n in range(order + 1):
-            assert calu.coeffs[n] == -((-1) ** n) * w.coeffs[n]
 
     def test_stable_energy_is_negated_hyperbolic(self):
         # negating the nome flips exactly the odd-exponent denominators, so
@@ -193,9 +151,6 @@ class TestThetaLogDeriv:
     def test_leading_coefficient(self):
         report = nf.theta_logderiv_check(1)
         assert report.passed
-
-    def test_order_200(self):
-        assert nf.theta_logderiv_check(200).passed
 
     def test_order_validation(self):
         with pytest.raises(ValueError, match="order must be >= 1"):

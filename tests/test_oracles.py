@@ -34,8 +34,8 @@ import mpmath
 import pytest
 
 from helpers import newton_nome
+from pins import SCAN_PARAMS
 from pendnf import cli, dynamics as dyn, elliptic as el
-from pendnf.dynamics import PendulumParams
 from pendnf.elliptic import Modulus
 
 mp = mpmath.mp
@@ -73,16 +73,13 @@ def stable_oracle(p, q, I, g):
         return -2 * I * g * kappa * cn, -2 * mpmath.asin(kappa * sn)
 
 
-PARAMS = (PendulumParams(1.0, 1.0), PendulumParams(0.37, 2.3), PendulumParams(2.5, 0.7))
-
-
 class TestEnergyFromNome:
     def test_both_signs_against_theta_quotients(self):
         # relative error within 3e-14 / (1 - |x'|): the product takes about
         # 18 / (1 - |x'|) factors, each rounding once
         rng = random.Random(20_001)
         for i in range(1500):
-            par = PARAMS[i % 3]
+            par = SCAN_PARAMS[i % 3]
             if i % 3 == 0:
                 x = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-12, 0) * 0.98
             elif i % 3 == 1:
@@ -110,7 +107,7 @@ class TestStableChart:
         # axis points included
         rng = random.Random(20_003)
         for i in range(1500):
-            par = PARAMS[i % 3]
+            par = SCAN_PARAMS[i % 3]
             r = math.sqrt(rng.uniform(0.0, 0.9)) if i % 4 else 10 ** rng.uniform(-8, 0) * 0.9
             a = rng.uniform(-math.pi, math.pi) if i % 5 else rng.choice((0.0, 0.5, -0.5, 1.0)) * math.pi
             p, q = r * math.cos(a), r * math.sin(a)
@@ -124,7 +121,7 @@ class TestStableChart:
         # t; within 5e-14 (1 + g t) once the phase error g t * 1e-16 adds on
         rng = random.Random(20_005)
         for i in range(600):
-            par = PARAMS[i % 3]
+            par = SCAN_PARAMS[i % 3]
             xs = rng.uniform(0.0, 0.9)
             t = rng.uniform(-20.0, 20.0) / par.g
             got = dyn.stable_state(xs, t, par)
@@ -146,7 +143,7 @@ def _moduli(seed, count):
     """Seeded moduli in [0, 1): uniform, up to 1 - 2^-53, and down to 1e-300,
     after the edges."""
     rng = random.Random(seed)
-    ms = [0.0, 5e-324, 1e-300, 1e-16, 0.5, 0.9, 0.99, 1.0 - 2.0**-53]
+    ms = [0.0, 5e-324, 1e-300, 1e-16, 0.2, 0.3, 0.5, 0.9, 0.95, 0.99, 1.0 - 2.0**-53]
     for i in range(count):
         ms.append((rng.random(), 1.0 - 10 ** rng.uniform(-16, 0), 10 ** rng.uniform(-300, 0))[i % 3])
     return ms
@@ -193,21 +190,24 @@ class TestEllipticKernel:
             assert err_k <= 4 * EPS, m
             assert err_e <= 4 * EPS / ((1.0 - m) * (1.0 + m) + EPS) ** 0.25, m
 
-    @pytest.mark.parametrize("lo,hi,bound", [
-        (0.0, 1.0, 4 * EPS),
-        (1.0, 1e3, 16 * EPS),
-        (1e3, 1e6, 6 * EPS),
-        (1e6, 1e8, 6 * EPS),
+    @pytest.mark.parametrize("lo,hi,bound,edges", [
+        (0.0, 1.0, 4 * EPS, [(1.0, 0.7)]),
+        (1.0, 1e3, 16 * EPS, []),
+        (1e3, 1e6, 6 * EPS, []),
+        (1e6, 1e8, 6 * EPS, []),
     ], ids=["u_to_1", "u_to_1e3", "u_to_1e6", "u_to_1e8"])
-    def test_jacobi_functions(self, lo, hi, bound):
+    def test_jacobi_functions(self, lo, hi, bound, edges):
         # absolute error of am, sn, cn, dn within bound * max(1, |u|): the
         # descent seeds the phase with 2^n a_n u, whose rounding grows with u;
         # at 1 - m ~ 1e-15 (K ~ 20) an error of a few eps K adds on, which
         # shows as up to 10 eps |u| for |u| of a few K
         rng = random.Random(20_013 + int(hi))
+        inputs = list(edges)
         for i in range(150):
             u = rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
             m = (rng.random(), 1.0 - 10 ** rng.uniform(-16, 0), 10 ** rng.uniform(-20, 0))[i % 3]
+            inputs.append((u, m))
+        for u, m in inputs:
             got = el.jacobi_elliptic(u, m)
             for value, want in zip(got, jacobi_oracle(u, m)):
                 assert float(abs(value - want)) <= bound * max(1.0, abs(u)), (u, m)
@@ -378,7 +378,7 @@ class TestNomeInversion:
         rng = random.Random(20_033)
         stalled = []
         while len(stalled) < 1000:
-            par = PARAMS[len(stalled) % 3]
+            par = SCAN_PARAMS[len(stalled) % 3]
             x = dyn.action_from_nome(rng.uniform(-0.5, -0.3), par)
             try:
                 newton_nome(x, par)
@@ -399,7 +399,7 @@ class TestHyperbolicChart:
         # both sides, |q'/p'| up to e^25 either way, and points on both axes
         rng = random.Random(20_029)
         for i in range(1200):
-            par = PARAMS[i % 3]
+            par = SCAN_PARAMS[i % 3]
             x = rng.uniform(-0.5, 0.5) if i % 4 else rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-12, -0.3)
             q = math.sqrt(abs(x) * math.exp(rng.uniform(-25.0, 25.0))) * rng.choice((-1.0, 1.0))
             p = x / q
@@ -422,7 +422,7 @@ class TestClosedForm:
         # the descent's phase rounding, which reaches dn
         rng = random.Random(20_031)
         for i in range(1200):
-            par = PARAMS[i % 3]
+            par = SCAN_PARAMS[i % 3]
             mod = Modulus.from_h((rng.random(), 10 ** rng.uniform(-6, 0), 1 - 10 ** rng.uniform(-16, 0))[i % 3])
             if not (0.0 < mod.h and mod.h_prime < 1.0):
                 continue
