@@ -4,8 +4,10 @@ coordinates (p, q).
 
 Representations: closed form through the real-modulus Jacobi functions, the
 arctan-resummed nome series, normal coordinates with exponential flow, and a
-plain adaptive reference integrator.  Angles are tracked unwrapped, so beta
-grows without bound along librations.
+plain adaptive reference integrator of the bare equations of motion: DOP853,
+run on numpy by the private module _dop853 step for step as scipy's
+solve_ivp(method="DOP853") runs it, so the package loads no scipy.  Angles
+are tracked unwrapped, so beta grows without bound along librations.
 
 Convention: the expanding direction of the flow is q (and the contracting
 one p), matching the substitutions q' = e sqrt(x'), p' = sqrt(x') / e with
@@ -24,9 +26,9 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.integrate import solve_ivp
+import numpy as np
 
-from . import elliptic, normal_form
+from . import _dop853, elliptic, normal_form
 from .elliptic import Modulus
 
 __all__ = [
@@ -630,17 +632,22 @@ def _rk_batch(
         raise ValueError(f"tolerance must lie in [1e-13, 1e-6], got {tol}")
     if times[0] < 0.0:
         raise ValueError("reference trajectories start at t = 0; need t0 >= 0")
+    # a NaN state would never trip the minimum-step failure: every
+    # comparison of its error norm is false, so the step loop never ends
+    if not (math.isfinite(state0.B) and math.isfinite(state0.beta)):
+        raise ValueError(f"the reference integration needs a finite start state, got {state0}")
     if times[-1] == 0.0:
         return [state0] * len(times)
 
     I = par.I
     igg = par.I * par.g**2
 
-    def rhs(_t, y):
-        return [y[1] / I, igg * math.sin(y[0])]
+    def rhs(y):
+        return np.array([y[1] / I, igg * math.sin(y[0])])
 
-    sol = solve_ivp(rhs, (0.0, times[-1]), [state0.beta, state0.B], method="DOP853",
-                    rtol=tol, atol=tol * max(1.0, par.I * par.g), t_eval=times)
-    if not sol.success:
-        raise RuntimeError(f"reference integration failed: {sol.message}")
-    return [_new(PhaseState, (B, beta)) for beta, B in zip(*sol.y.tolist())]
+    try:
+        ys = _dop853.dop853(rhs, [state0.beta, state0.B], times,
+                            rtol=tol, atol=tol * max(1.0, par.I * par.g))
+    except _dop853.StepSizeError as exc:
+        raise RuntimeError(f"reference integration failed: {exc}") from None
+    return [_new(PhaseState, (B, beta)) for beta, B in ys.tolist()]

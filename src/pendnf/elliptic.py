@@ -104,7 +104,13 @@ class Modulus:
         for name, value in (("inertia", inertia), ("g", g)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        return cls.from_k(g * math.sqrt(2.0 * inertia / energy))
+        k = g * math.sqrt(2.0 * inertia / energy)
+        # an overflowed k would pass for the separatrix (h = 0) of energy 0,
+        # and an underflowed one is no modulus either
+        if not 0.0 < k < math.inf:
+            raise ValueError(f"no positive finite modulus k = g sqrt(2 I / energy) for energy {energy} "
+                             f"at inertia {inertia} and g {g}")
+        return cls.from_k(k)
 
 
 @functools.lru_cache(maxsize=8, typed=True)

@@ -225,6 +225,30 @@ def _rk_endpoints():
     return ends
 
 
+@_pin("rk/scan")
+def _rk_scan():
+    """States of 301 seeded reference solves, by float hex, as scipy's
+    solve_ivp(method="DOP853") computed them: tol from 1e-13 to 1e-6, I in
+    e^(+-3), g in e^(+-2) and h from 1e-8 to 0.99; grids from t = 0 of up to
+    1001 samples, grids of up to 301 samples from an offset start, and
+    endpoints of either sign from a seeded state."""
+    rng = random.Random(2024)
+    for case in range(301):
+        tol = 10 ** rng.uniform(-13, -6)
+        par = PendulumParams(math.exp(rng.uniform(-3, 3)), math.exp(rng.uniform(-2, 2)))
+        mod = Modulus.from_h(10 ** rng.uniform(-8, math.log10(0.99)))
+        if case % 3 == 2:
+            state = PhaseState(rng.uniform(-3, 3) * par.I * par.g, rng.uniform(-4, 4))
+            times = [0.0, rng.uniform(-10, 10) / par.g]
+        else:
+            state = PhaseState(2.0 * par.I * par.g / mod.k, 0.0)
+            count = rng.randint(1, 1000 if case % 3 == 0 else 300)
+            dt = rng.uniform(0.001, 0.05) / par.g
+            t0 = 0.0 if case % 3 == 0 else rng.uniform(0, 5) / par.g
+            times = dyn._time_grid(t0, t0 + count * dt, dt)
+        yield " ".join(f"{s.B.hex()} {s.beta.hex()}" for s in dyn._rk_batch(state, par, times, tol))
+
+
 K_E_GRID = [m for m in [i / 1000 for i in range(1000)] + [1 - 10.0**-k for k in range(4, 17)]
             + [10.0**-k for k in range(1, 300, 7)] if m < 1]
 
@@ -510,6 +534,8 @@ CLI_USAGE_ERRORS = {f"cli/usage_error/{name}": argv for name, argv in (
     ("coeffs_order_zero", ["coeffs", "--series", "calU", "--order", "0"]),
     ("double_dash_first", ["--", "map", "--p", "0.3", "--q", "0.2"]),
     ("unknown_option_first", ["--x", "coeffs", "--series", "g0"]),
+    ("trajectory_energy_without_modulus", ["trajectory", "--method", "rk", "--energy", "1e-320",
+                                           "--t1", "1", "--dt", "1"]),
 )}
 CLI_PARSED = {f"cli/parsed/{argv[0]}": argv for argv in (
     ["verify", "--suite", "theta", "--I", "2.5"],

@@ -8,13 +8,12 @@ import math
 import random
 import re
 import sys
-import types
 
 import numpy as np
 import pytest
 
 import pins
-from pendnf import cli, dynamics as dyn, elliptic as el, normal_form as nf
+from pendnf import _dop853, cli, dynamics as dyn, elliptic as el, normal_form as nf
 from pendnf.dynamics import NormalCoords, PendulumParams, PhaseState
 from pendnf.elliptic import Modulus
 from pins import PARAMS
@@ -644,13 +643,24 @@ class TestReferenceIntegrator:
     def test_pinned_endpoints(self):
         pins.check("rk_oracle/endpoints")
 
+    def test_pinned_scan(self):
+        # 301 seeded solves, recorded from scipy's solve_ivp, bit for bit
+        pins.check("rk/scan")
+
     def test_failed_integration_is_named(self, par, monkeypatch):
-        # the error carries the solver's own message
-        message = "Required step size is less than spacing between numbers."
-        monkeypatch.setattr(dyn, "solve_ivp", lambda *args, **kwargs: types.SimpleNamespace(
-            success=False, message=message))
-        with pytest.raises(RuntimeError, match=f"^reference integration failed: {re.escape(message)}$"):
+        # an error estimate that rejects every step shrinks the step below
+        # the spacing of the floats; the error carries the solver's message
+        monkeypatch.setattr(_dop853, "_error_norm", lambda K, h, scale: math.inf)
+        message = "reference integration failed: Required step size is less than spacing between numbers."
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             dyn.trajectory("rk", Modulus.from_h(0.3), par, 0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("state", [PhaseState(math.nan, 0.0), PhaseState(0.0, math.inf)])
+    def test_nonfinite_start_is_named(self, par, state):
+        # a NaN never trips the minimum-step failure, so it must not start
+        message = f"the reference integration needs a finite start state, got {state}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dyn.rk_oracle(state, par, 1.0)
 
 
 class TestTrajectory:
@@ -681,6 +691,17 @@ class TestTrajectory:
                 assert all(type(v) is float for v in (r.t, r.B, r.beta, r.energy))
             with pytest.raises(AttributeError):
                 recs[0].B = 0.0
+
+    def test_repeated_times(self, par):
+        # a step below the spacing of the floats at t0 repeats grid times;
+        # rk answers there as the charts do, one row per grid time
+        mod = Modulus.from_h(0.3)
+        closed = dyn.trajectory("closed", mod, par, 1.0, 1.0 + 2.0**-52, 1e-17)
+        rk = dyn.trajectory("rk", mod, par, 1.0, 1.0 + 2.0**-52, 1e-17)
+        assert len(set(r.t for r in closed)) == 2
+        assert [r.t for r in rk] == [r.t for r in closed]
+        for r, c in zip(rk, closed):
+            assert abs(r.B - c.B) < 1e-8 and abs(r.beta - c.beta) < 1e-8
 
     def test_unknown_method(self, par, monkeypatch):
         # named before the grid is checked, and before a legal grid is built

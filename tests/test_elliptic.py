@@ -129,6 +129,7 @@ class TestModulus:
         mod = Modulus.from_energy(2.0, 1.0, 1.0)
         assert mod.k == pytest.approx(1.0, rel=1e-14)
         separatrix = "only motions above the separatrix (energy > 0) have a real modulus"
+        overflow = "no positive finite modulus k = g sqrt(2 I / energy) for energy"
         for args, message in (
             ((-1.0, 1.0, 1.0), separatrix),
             ((-math.inf, 1.0, 1.0), separatrix),
@@ -138,6 +139,11 @@ class TestModulus:
             ((2.0, math.inf, 1.0), "inertia must be positive and finite, got inf"),
             ((2.0, 1.0, 0.0), "g must be positive and finite, got 0.0"),
             ((2.0, 1.0, math.nan), "g must be positive and finite, got nan"),
+            # k = g sqrt(2 I / energy) overflows (not the separatrix) or underflows
+            ((5e-324, 1.0, 1.0), f"{overflow} 5e-324 at inertia 1.0 and g 1.0"),
+            ((1.0, 1e308, 1.0), f"{overflow} 1.0 at inertia 1e+308 and g 1.0"),
+            ((0.5, 1.0, 1e308), f"{overflow} 0.5 at inertia 1.0 and g 1e+308"),
+            ((1e308, 5e-324, 1.0), f"{overflow} 1e+308 at inertia 5e-324 and g 1.0"),
         ):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Modulus.from_energy(*args)
