@@ -9,7 +9,9 @@ step of select_initial_step, each stage as np.dot(K[:s].T, a[:s]) * h, the
 error norm through np.linalg.norm, the step-size control and its minimum-step
 failure, and the dense output at the requested times. The order in which
 BLAS sums a product sets the last bits of every state, so keeping the
-operations keeps the states bit for bit.
+operations keeps the states bit for bit. It runs forward only, t_bound > 0:
+a reversible system's backward solve is the mirrored forward one, bit for bit
+(dynamics._rk_batch, pin rk/scan). A solve stops after MAX_STEPS steps.
 
 The method is written after scipy.integrate._ivp (rk.py, common.py, ivp.py),
 and the coefficient tables below are copied literal for literal from
@@ -57,23 +59,6 @@ import numpy as np
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
 INTERPOLATOR_POWER = 7
-
-C = np.array([0.0,
-              0.526001519587677318785587544488e-01,
-              0.789002279381515978178381316732e-01,
-              0.118350341907227396726757197510,
-              0.281649658092772603273242802490,
-              0.333333333333333333333333333333,
-              0.25,
-              0.307692307692307692307692307692,
-              0.651282051282051282051282051282,
-              0.6,
-              0.857142857142857142857142857142,
-              1.0,
-              1.0,
-              0.1,
-              0.2,
-              0.777777777777777777777777777778])
 
 A = np.zeros((N_STAGES_EXTENDED, N_STAGES_EXTENDED))
 A[1, 0] = 5.26001519587677318785587544488e-2
@@ -247,8 +232,7 @@ D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
 # the views the solver reads, sliced as scipy's DOP853 class slices them:
-# the layout of each operand decides the BLAS kernel np.dot runs. The system
-# is autonomous, so the stage times C never enter.
+# the layout of each operand decides the BLAS kernel np.dot runs
 _A_STEP = A[:N_STAGES, :N_STAGES]
 _A_EXTRA = A[N_STAGES + 1:]
 
@@ -261,21 +245,17 @@ MAX_FACTOR = 10
 ERROR_ESTIMATOR_ORDER = 7
 _ERROR_EXPONENT = -1 / (ERROR_ESTIMATOR_ORDER + 1)
 
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-
-
-class StepSizeError(ArithmeticError):
-    """The step size the error control asks for is below ten spacings of
-    the floats at the current time: the integration cannot go on."""
+# the most accepted steps one solve may take, about 3 s at about 65 us a
+# step; the longest tested solves take under 16,000
+MAX_STEPS = 50_000
 
 
 def _rms(x: np.ndarray) -> np.floating:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, y0, t_bound, f0, direction, rtol, atol):
+def _initial_step(fun, y0, t_bound, f0, rtol, atol):
     """The first step's size, by Hairer, Norsett & Wanner Sec. II.4."""
-    interval_length = abs(t_bound)
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -283,8 +263,8 @@ def _initial_step(fun, y0, t_bound, f0, direction, rtol, atol):
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
+    h0 = min(h0, t_bound)
+    y1 = y0 + h0 * f0
     f1 = fun(y1)
     d2 = _rms((f1 - f0) / scale) / h0
 
@@ -293,7 +273,7 @@ def _initial_step(fun, y0, t_bound, f0, direction, rtol, atol):
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (ERROR_ESTIMATOR_ORDER + 1))
 
-    return min(100 * h0, h1, interval_length)
+    return min(100 * h0, h1, t_bound)
 
 
 def _error_norm(K, h, scale):
@@ -345,46 +325,36 @@ def dop853(
     """The states of y' = fun(y), y(0) = y0, at the times t_eval: one row per
     time, in the order given.
 
-    The integration runs from t = 0 to the last time, which is nonzero and
-    of either sign; the times lie between the two and run from 0 towards
-    the last. y0 must be finite, and rtol at least 100 machine epsilons:
-    the caller checks both. Raises StepSizeError when the step size falls
-    below the spacing of the floats near t.
+    Forward only: the times run from 0 up to the last, which is positive (a
+    backward solve is the mirrored forward one). y0 must be finite, and rtol
+    at least 100 machine epsilons: the caller checks both. Raises
+    RuntimeError when the step size falls below the spacing of the floats
+    near t, and ValueError past MAX_STEPS accepted steps.
     """
     t = 0.0
     y = np.asarray(y0, dtype=float)
     t_bound = float(t_eval[-1])
-    direction = np.sign(t_bound)
     t_eval = np.asarray(t_eval)
-    if direction > 0:
-        t_eval_i = 0
-    else:
-        t_eval = t_eval[::-1]
-        t_eval_i = t_eval.shape[0]
+    t_eval_i = 0
 
     f = fun(y)
-    h_abs = _initial_step(fun, y, t_bound, f, direction, rtol, atol)
+    h_abs = _initial_step(fun, y, t_bound, f, rtol, atol)
     K_extended = np.empty((N_STAGES_EXTENDED, len(y)), dtype=y.dtype)
     K = K_extended[:N_STAGES + 1]
     ys = []
 
-    while True:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
+    for _ in range(MAX_STEPS):
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
 
-        step_accepted = False
         step_rejected = False
-        while not step_accepted:
+        while True:
             if h_abs < min_step:
-                raise StepSizeError(TOO_SMALL_STEP)
+                raise RuntimeError("reference integration failed: "
+                                   "Required step size is less than spacing between numbers.")
 
-            h = h_abs * direction
-            t_new = t + h
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
+            t_new = min(t + h_abs, t_bound)
+            h_abs = h = t_new - t
 
             K[0] = f
             for s, a in enumerate(_A_STEP[1:], start=1):
@@ -404,7 +374,7 @@ def dop853(
                 if step_rejected:
                     factor = min(1, factor)
                 h_abs *= factor
-                step_accepted = True
+                break
             else:
                 h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
                 step_rejected = True
@@ -412,15 +382,12 @@ def dop853(
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
 
-        if direction > 0:
-            t_eval_i_new = np.searchsorted(t_eval, t, side='right')
-            t_eval_step = t_eval[t_eval_i:t_eval_i_new]
-        else:
-            t_eval_i_new = np.searchsorted(t_eval, t, side='left')
-            t_eval_step = t_eval[t_eval_i_new:t_eval_i][::-1]
+        t_eval_i_new = np.searchsorted(t_eval, t, side='right')
+        t_eval_step = t_eval[t_eval_i:t_eval_i_new]
         if t_eval_step.size > 0:
             ys.append(_dense_output(fun, K_extended, h, t_old, t, y_old, y, f, t_eval_step))
             t_eval_i = t_eval_i_new
 
-        if direction * (t - t_bound) >= 0:
+        if t == t_bound:
             return np.concatenate(ys)
+    raise ValueError(f"reference integration to |t| = {t_bound} needs more than the cap of {MAX_STEPS} steps")

@@ -627,17 +627,23 @@ def _rk_batch(
 ) -> list[PhaseState]:
     """The states at the given times from DOP853 on dbeta/dt = B/I,
     dB/dt = I g^2 sin(beta), started at t = 0: a grid of nonnegative
-    increasing times, or [0, t] with t of either sign for one endpoint."""
+    increasing times, or [0, t] with t of either sign for one endpoint.
+    The equations are reversible, so a negative t is the forward solve from
+    (-B0, beta0) to -t with B negated: scipy's backward endpoint, bit for bit."""
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError(f"tolerance must lie in [1e-13, 1e-6], got {tol}")
     if times[0] < 0.0:
         raise ValueError("reference trajectories start at t = 0; need t0 >= 0")
-    # a NaN state would never trip the minimum-step failure: every
-    # comparison of its error norm is false, so the step loop never ends
+    # a NaN or infinite state makes the step size NaN, which no comparison
+    # finds too small: the first step, never accepted, would be retried forever
     if not (math.isfinite(state0.B) and math.isfinite(state0.beta)):
         raise ValueError(f"the reference integration needs a finite start state, got {state0}")
     if times[-1] == 0.0:
         return [state0] * len(times)
+    if times[-1] < 0.0:
+        mirrored = _rk_batch(_new(PhaseState, (-state0.B, state0.beta)), par, [-t for t in times], tol)
+        # 0.0 - B, not -B: an exact-zero endpoint keeps scipy's +0.0
+        return [_new(PhaseState, (0.0 - B, beta)) for B, beta in mirrored]
 
     I = par.I
     igg = par.I * par.g**2
@@ -645,9 +651,6 @@ def _rk_batch(
     def rhs(y):
         return np.array([y[1] / I, igg * math.sin(y[0])])
 
-    try:
-        ys = _dop853.dop853(rhs, [state0.beta, state0.B], times,
-                            rtol=tol, atol=tol * max(1.0, par.I * par.g))
-    except _dop853.StepSizeError as exc:
-        raise RuntimeError(f"reference integration failed: {exc}") from None
+    ys = _dop853.dop853(rhs, [state0.beta, state0.B], times,
+                        rtol=tol, atol=tol * max(1.0, par.I * par.g))
     return [_new(PhaseState, (B, beta)) for beta, B in ys.tolist()]

@@ -654,6 +654,19 @@ class TestReferenceIntegrator:
         message = "reference integration failed: Required step size is less than spacing between numbers."
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             dyn.trajectory("rk", Modulus.from_h(0.3), par, 0.0, 1.0, 0.5)
+        # a backward endpoint fails on its mirrored forward solve, by the same name
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            dyn.rk_oracle(PhaseState(1.0, 0.0), par, -1.0)
+
+    def test_step_cap_is_named(self, par, monkeypatch):
+        # the cap bounds the work of a long horizon; the error names the cap
+        # and the time, forward and backward
+        monkeypatch.setattr(_dop853, "MAX_STEPS", 3)
+        message = "reference integration to |t| = 1.0 needs more than the cap of 3 steps"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dyn.trajectory("rk", Modulus.from_h(0.3), par, 0.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dyn.rk_oracle(PhaseState(1.0, 0.0), par, -1.0)
 
     @pytest.mark.parametrize("state", [PhaseState(math.nan, 0.0), PhaseState(0.0, math.inf)])
     def test_nonfinite_start_is_named(self, par, state):
