@@ -6,8 +6,6 @@ Run:  python demos/05_stable_oscillations.py
 
 import math
 
-import numpy as np
-
 from pendnf import dynamics as dyn, elliptic as el, normal_form as nf
 from pendnf.dynamics import PendulumParams
 
@@ -23,8 +21,8 @@ g0s = el.g0_from_nome(-xs, par.g)
 period = 2 * math.pi / g0s
 print(f"\nTrajectory at amplitude x_s' = {xs} (period {period:.6f}):")
 print(f"{'t':>6} {'B':>14} {'beta':>14} {'H_s':>14}")
-for t in np.linspace(0.0, period, 9):
-    s = dyn.stable_state(xs, float(t), par)
+for t in (period * i / 8 for i in range(9)):
+    s = dyn.stable_state(xs, t, par)
     h = s.B**2 / (2 * par.I) + par.I * par.g**2 * (1 - math.cos(s.beta))
     print(f"{t:6.3f} {s.B:14.10f} {s.beta:14.10f} {h:14.10f}")
 

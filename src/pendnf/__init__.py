@@ -13,6 +13,8 @@ Layers:
 * :mod:`pendnf.cli` -- the ``pend-nf`` command.
 """
 
+import gc as _gc
+
 from .elliptic import (
     Modulus,
     complete_e,
@@ -51,3 +53,8 @@ from .dynamics import (
 )
 
 __version__ = "0.1.0"
+
+# one young collection moves the 4,000 lasting objects the imports leave young (functions,
+# classes, tables) to the collector's old generation now; otherwise the next young collection
+# falls inside the first call and rescans them (1-2 ms)
+_gc.collect(1)

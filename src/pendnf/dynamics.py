@@ -5,9 +5,10 @@ coordinates (p, q).
 Representations: closed form through the real-modulus Jacobi functions, the
 arctan-resummed nome series, normal coordinates with exponential flow, and a
 plain adaptive reference integrator of the bare equations of motion: DOP853,
-run on numpy by the private module _dop853 step for step as scipy's
-solve_ivp(method="DOP853") runs it, so the package loads no scipy.  Angles
-are tracked unwrapped, so beta grows without bound along librations.
+run on Python floats by the private module _dop853 step for step, and bit for
+bit, as scipy's solve_ivp(method="DOP853") runs it on numpy, so the package
+loads neither.  Angles are tracked unwrapped, so beta grows without bound
+along librations.
 
 Convention: the expanding direction of the flow is q (and the contracting
 one p), matching the substitutions q' = e sqrt(x'), p' = sqrt(x') / e with
@@ -25,8 +26,6 @@ import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from . import _dop853, elliptic, normal_form
 from .elliptic import Modulus
@@ -645,12 +644,12 @@ def _rk_batch(
         # 0.0 - B, not -B: an exact-zero endpoint keeps scipy's +0.0
         return [_new(PhaseState, (0.0 - B, beta)) for B, beta in mirrored]
 
-    I = par.I
-    igg = par.I * par.g**2
+    # built-in floats in, built-in floats out
+    I, igg = float(par.I), float(par.I * par.g**2)
 
-    def rhs(y):
-        return np.array([y[1] / I, igg * math.sin(y[0])])
+    def rhs(beta, B):
+        return B / I, igg * math.sin(beta)
 
     ys = _dop853.dop853(rhs, [state0.beta, state0.B], times,
-                        rtol=tol, atol=tol * max(1.0, par.I * par.g))
-    return [_new(PhaseState, (B, beta)) for beta, B in ys.tolist()]
+                        rtol=float(tol), atol=float(tol * max(1.0, par.I * par.g)))
+    return [_new(PhaseState, (B, beta)) for beta, B in ys]

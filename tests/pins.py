@@ -249,6 +249,52 @@ def _rk_scan():
         yield " ".join(f"{s.B.hex()} {s.beta.hex()}" for s in dyn._rk_batch(state, par, times, tol))
 
 
+@_pin("rk/extremes")
+def _rk_extremes():
+    """Outcomes of 140 seeded reference solves at the edges of the float
+    range, by float hex, as the numpy port computed them: I from 4.9e-308
+    to 1e300, g from 1e-150 to 1e70, h from 1e-300 to 0.999999 and tol from
+    1e-13 to 1e-6; grids from t = 0, and endpoints of either sign from
+    seeded, signed-zero and equilibrium starts. Each solve stops at 500 steps:
+    at I near 1e-307 a subnormal momentum takes some 10^4."""
+    with mock.patch.object(dyn._dop853, "MAX_STEPS", 500):
+        yield from _rk_extreme_solves(random.Random(2810))
+
+
+def _rk_extreme_solves(rng):
+    for solve in range(140):
+        par = _extreme_params(rng, solve)
+        tol = 10 ** rng.uniform(-13, -6)
+        t = rng.uniform(0.1, 3.0) / par.g
+        if solve % 4 == 0:
+            mod = Modulus.from_h(10 ** rng.uniform(-300, math.log10(0.999999)))
+            state = PhaseState(2.0 * par.I * par.g / mod.k, 0.0)
+            times = dyn._time_grid(0.0, t, t / rng.randint(1, 40))
+        else:
+            state = (PhaseState(rng.uniform(-3, 3) * par.I * par.g, rng.uniform(-4, 4)),
+                     PhaseState(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0))),
+                     PhaseState(rng.choice((0.0, -0.0, 5e-324, -5e-324)), rng.choice((math.pi, -math.pi))),
+                     )[solve % 4 - 1]
+            times = [0.0, rng.choice((t, -t))]
+        yield outcome(lambda: " ".join(f"{s.B.hex()} {s.beta.hex()}" for s in dyn._rk_batch(state, par, times, tol)))
+
+
+def _extreme_params(rng, solve):
+    """I from 4.9e-308 to 1e300 and g from 1e-150 to 1e70, with 32 I g and
+    32 I g^2 floats. Two seeded solves in eight sit at an edge: I = 4.9e-308,
+    where the slopes I g^2 sin(beta) reach the subnormals, and I = 1e300,
+    where they pass 2^997."""
+    while True:
+        if solve % 8 == 1:
+            I, g = 4.9e-308, 10 ** rng.uniform(-8, 0)
+        elif solve % 8 == 5:
+            I, g = 1e300, 10 ** rng.uniform(0, 3)
+        else:
+            I, g = 10 ** rng.uniform(math.log10(4.9e-308), 300), 10 ** rng.uniform(-150, 70)
+        with contextlib.suppress(ValueError):
+            return PendulumParams(I, g)
+
+
 K_E_GRID = [m for m in [i / 1000 for i in range(1000)] + [1 - 10.0**-k for k in range(4, 17)]
             + [10.0**-k for k in range(1, 300, 7)] if m < 1]
 

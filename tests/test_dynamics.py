@@ -8,6 +8,7 @@ import math
 import random
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -647,6 +648,18 @@ class TestReferenceIntegrator:
         # 301 seeded solves, recorded from scipy's solve_ivp, bit for bit
         pins.check("rk/scan")
 
+    def test_numpy_inputs_give_the_same_floats(self):
+        par, state = PendulumParams(0.37, 2.3), PhaseState(0.5, 0.25)
+        want = dyn._rk_batch(state, par, [0.0, 0.5, 1.0], 1e-9)
+        got = dyn._rk_batch(PhaseState(*map(np.float64, state)), PendulumParams(np.float64(0.37), np.float64(2.3)),
+                            list(np.array([0.0, 0.5, 1.0])), np.float64(1e-9))
+        assert [(type(B), type(beta)) for B, beta in got[1:]] == [(float, float)] * 2
+        assert got == want
+
+    def test_pinned_extremes(self):
+        # 140 solves at the edges of the float range, recorded from the numpy port
+        pins.check("rk/extremes")
+
     def test_failed_integration_is_named(self, par, monkeypatch):
         # an error estimate that rejects every step shrinks the step below
         # the spacing of the floats; the error carries the solver's message
@@ -674,6 +687,124 @@ class TestReferenceIntegrator:
         message = f"the reference integration needs a finite start state, got {state}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dyn.rk_oracle(state, par, 1.0)
+
+
+def _fma_oracle(x: float, a: float, c: float) -> float:
+    """x a + c rounded once to the nearest float, ties to even, with IEEE
+    754's signed zeros and specials: by rationals and comparison alone."""
+    if not math.isfinite(x):
+        return x * a + c
+    if not math.isfinite(c):
+        return c
+    exact = Fraction(x) * Fraction(a) + Fraction(c)
+    if exact == 0:              # an exact zero product keeps its sign rule
+        return x * a + c if x == 0 or a == 0 else 0.0
+    if abs(exact) >= 2**1024 - 2**970:
+        return math.inf if exact > 0 else -math.inf
+    best = float(exact)
+    for y in (math.nextafter(best, -math.inf), math.nextafter(best, math.inf)):
+        if math.isfinite(y):
+            dy, db = abs(Fraction(y) - exact), abs(Fraction(best) - exact)
+            if dy < db or (dy == db and Fraction(y) / Fraction(math.ulp(y)) % 2 == 0):
+                best = y
+    return best
+
+
+def _dgemv_order(k: list[float], a: list[float]) -> float:
+    """OpenBLAS's dgemv_n sum of k[:s] a[:s] for two rows, every coefficient
+    included: blocks of four in pairs, then the tail, from +0.0."""
+    t, body = 0.0, len(a) - len(a) % 4
+    for i in range(0, body, 2):
+        t = t + _fma_oracle(k[i], a[i], k[i + 1] * a[i + 1])
+    for i in range(body, len(a)):
+        t = _fma_oracle(k[i], a[i], t)
+    return t + 0.0
+
+
+def _random_slopes(rng: random.Random, n: int) -> list[float]:
+    """n finite floats of every scale and sign, zeros and subnormals among
+    them; one draw in four only signed zeros and the least subnormals, whose
+    sums come out as signed zeros."""
+    if rng.random() < 0.25:
+        return [rng.choice((0.0, -0.0, 5e-324, -5e-324)) for _ in range(n)]
+    return [rng.choice((0.0, -0.0, rng.uniform(-3, 3), 5e-324 * rng.randint(-9, 9),
+                        rng.choice((1, -1)) * 10 ** rng.uniform(-323, 308))) for _ in range(n)]
+
+
+class TestReferenceArithmetic:
+    """The integrator rounds in the order OpenBLAS's kernels round, on Python
+    floats; each helper against a rational restatement of that order."""
+
+    MAX = sys.float_info.max
+    CASES = [
+        (1 + 2.0**-30, 1 + 2.0**-30, -(1 + 2.0**-29)),          # cancellation to the product's error
+        (1 + 2.0**-26, 1 + 2.0**-27, 0.0),                      # ties, from short mantissas
+        (1 + 2.0**-26, 1 + 2.0**-27, 2.0**-52),
+        (3 + 2.0**-25, 1 + 2.0**-28, -3.0),
+        *((x, 1.5, c) for x in (0.0, -0.0, 1e-320, -1e-320) for c in (0.0, -0.0)),  # signed zeros
+        (2.0**-540, 0.75, 0.0), (-2.0**-537, 0.3, 2.0**-1073),  # subnormal results
+        (2.0**-500, 2.0**-500, 0.0),
+        (2.0**1000 * 1.1, 0.3, -(2.0**1000 * 1.1 * 0.3)),       # near 2^1000
+        (2.0**999, 527.8, -MAX),
+        (2.0**979, 1.0, MAX), (-2.0**979 * 1.5, 1.0, -MAX),     # fsum's intermediate overflow
+        (2.0**979, 1.0, -MAX),
+        (math.inf, 0.3, 1.0), (math.inf, -0.3, math.inf),       # specials
+        (1e300, 0.3, -math.inf), (math.nan, 0.3, 1.0), (1.0, 0.3, math.nan), (2.0**1020, 500.0, -math.inf),
+    ]
+
+    @pytest.mark.parametrize("x, a, c", CASES)
+    def test_fma_is_rounded_once(self, x, a, c):
+        assert _dop853._fma(x, _dop853._split(a), c).hex() == _fma_oracle(x, a, c).hex()
+
+    def test_fma_on_seeded_short_mantissas(self):
+        # 28-bit factors and addends: the exact sum often falls on a tie
+        rng = random.Random(28)
+        for _ in range(3000):
+            x, a, c = (rng.choice((1, -1)) * math.ldexp(rng.getrandbits(28), rng.randint(-60, -20))
+                       for _ in range(3))
+            if a and abs(a) > 2**-14:
+                assert _dop853._fma(x, _dop853._split(a), c).hex() == _fma_oracle(x, a, c).hex()
+
+    def test_dot_follows_dgemv_order(self):
+        # every row the solver sums, zero coefficients included in the restatement
+        rows = [(_dop853.A[s][:s], plan) for s, plan in _dop853._ROWS.items()]
+        rows += [(_dop853.E3, _dop853._E3), (_dop853.E5, _dop853._E5)]
+        rng = random.Random(16)
+        for _ in range(60):
+            K0, K1 = _random_slopes(rng, 16), _random_slopes(rng, 16)
+            for a, plan in rows:
+                got = _dop853._dot(K0, K1, plan)
+                assert [v.hex() for v in got] == [_dgemv_order(k, a).hex() for k in (K0, K1)]
+
+    def test_dot16_follows_dgemm_lanes(self):
+        rng = random.Random(8)
+        for i in range(400):
+            k = _random_slopes(rng, 16)
+            for d, lanes in zip(_dop853.D, _dop853._LANES):
+                if i % 2:   # every product -0.0 but those of one zero lane l: it sets the sign
+                    k = [math.copysign(0.0, -c) if c else -0.0 for c in d]
+                    l = rng.randint(1, 4)
+                    k[l], k[l + 8] = rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0, 5e-324, -5e-324))
+                acc = [_fma_oracle(k[l + 8], d[l + 8], k[l] * d[l]) for l in range(8)]
+                want = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+                assert _dop853._dot16(k, lanes).hex() == want.hex()
+
+    @pytest.mark.parametrize("e5, e3, want", [
+        ((1e155, 0.0), (0.0, 0.0), math.nan),   # err5^2 is inf, as numpy's power gives it: inf / inf
+        ((0.0, 0.0), (1e155, 0.0), 0.0),        # err3^2 is inf: 0 / inf
+        ((0.0, 0.0), (3e-162, 0.0), math.nan),  # 0.01 err3^2 underflows: numpy's 0 / 0
+    ])
+    def test_error_norm_keeps_numpy_specials(self, monkeypatch, e5, e3, want):
+        sums = {id(_dop853._E5): e5, id(_dop853._E3): e3}
+        monkeypatch.setattr(_dop853, "_dot", lambda K0, K1, plan: sums[id(plan)])
+        got = _dop853._error_norm(([0.0] * 16, [0.0] * 16), 0.5, (1.0, 1.0))
+        assert got == want or math.isnan(got) and math.isnan(want)
+
+    def test_norm_is_ddot_root(self):
+        rng = random.Random(2)
+        for _ in range(500):
+            x0, x1 = _random_slopes(rng, 2)
+            assert _dop853._norm(x0, x1).hex() == math.sqrt(_fma_oracle(x1, x1, x0 * x0)).hex()
 
 
 class TestTrajectory:
