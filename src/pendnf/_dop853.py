@@ -365,16 +365,19 @@ def _error_norm(K, h, scale):
     return abs(h) * err5_norm_2 / math.sqrt(denom * 2) if denom else math.nan
 
 
-def _dense_output(fun, K, h, t_old, t, y_old, y, f, t_eval):
+def _dense_output(fun, K, h, t_old, t, y_old, y, f, t_eval, t_bound):
     """The states at the times t_eval inside the step from (t_old, y_old) to (t, y), where
     the slope is f: one pair per time, from the polynomial's coefficients F[6], ..., F[0]."""
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
         dy0, dy1 = _dot(*K, _ROWS[s])
         K[0][s], K[1][s] = fun(y_old[0] + dy0 * h, y_old[1] + dy1 * h)
-    (a6, a5, a4, a3, a2, a1, a0), (b6, b5, b4, b3, b2, b1, b0) = (
-        [h * _dot16(k, lanes) for lanes in reversed(_LANES)]
-        + [2 * (v - v_old) - h * (f_new + k[0]), h * k[0] - (v - v_old), v - v_old]
-        for k, v_old, v, f_new in zip(K, y_old, y, f))
+    coeffs = [[h * _dot16(k, lanes) for lanes in reversed(_LANES)]
+              + [2 * (v - v_old) - h * (f_new + k[0]), h * k[0] - (v - v_old), v - v_old]
+              for k, v_old, v, f_new in zip(K, y_old, y, f)]
+    # slopes near the largest float times D's entries (up to 528) pass it: inf - inf below
+    if not all(map(math.isfinite, coeffs[0] + coeffs[1])):
+        raise OverflowError(f"reference integration to |t| = {t_bound} passes the float range in its dense output")
+    (a6, a5, a4, a3, a2, a1, a0), (b6, b5, b4, b3, b2, b1, b0) = coeffs
     (y0, y1), span = y_old, t - t_old
     out = []
     for te in t_eval:
@@ -393,8 +396,9 @@ def dop853(fun: Callable[[float, float], tuple[float, float]], y0: Sequence[floa
     Forward only: the times run from 0 up to the last, which is positive (a
     backward solve is the mirrored forward one). y0 must be finite, and rtol
     at least 100 machine epsilons: the caller checks both. Raises
-    RuntimeError when the step size falls below the spacing of the floats
-    near t, and ValueError past MAX_STEPS accepted steps.
+    RuntimeError when the step size falls below 10 ulp(t), OverflowError
+    where the dense output passes the float range, and ValueError past
+    MAX_STEPS accepted steps; the last two name |t|, the last time.
     """
     t = 0.0
     y = [float(v) for v in y0]
@@ -408,7 +412,7 @@ def dop853(fun: Callable[[float, float], tuple[float, float]], y0: Sequence[floa
     ys = []
 
     for _ in range(MAX_STEPS):
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        min_step = 10 * math.ulp(t)
         h_abs = max(h_abs, min_step)
 
         step_rejected = False
@@ -449,7 +453,7 @@ def dop853(fun: Callable[[float, float], tuple[float, float]], y0: Sequence[floa
 
         t_eval_i_new = bisect_right(t_eval, t)
         if t_eval_i_new > t_eval_i:
-            ys += _dense_output(fun, K, h, t_old, t, y_old, y, f, t_eval[t_eval_i:t_eval_i_new])
+            ys += _dense_output(fun, K, h, t_old, t, y_old, y, f, t_eval[t_eval_i:t_eval_i_new], t_bound)
             t_eval_i = t_eval_i_new
 
         if t == t_bound:

@@ -69,8 +69,6 @@ _POLE_EPS = 1e-9
 _FLOAT_MIN = sys.float_info.min
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(_FLOAT_MIN)
-# the largest float whose square is finite
-_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 TRAJECTORY_METHODS = ("closed", "series", "normal", "rk")
 # builds a NamedTuple from the tuple of its fields, without the Python-level
 # __new__ the class generates: _new(PhaseState, (B, beta))
@@ -143,18 +141,15 @@ def wrap_angle(beta: float) -> float:
     """The unwrapped angle reduced to (-pi, pi]."""
     if not math.isfinite(beta):
         raise ValueError(f"angle must be finite, got {beta}")
-    wrapped = math.fmod(beta, 2.0 * math.pi)
-    if wrapped > math.pi:
-        wrapped -= 2.0 * math.pi
-    elif wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
+    wrapped = math.remainder(beta, 2.0 * math.pi)       # exact, in [-pi, pi]
+    return math.pi if wrapped == -math.pi else wrapped
 
 
 def hamiltonian(state: PhaseState, par: PendulumParams) -> float:
     """H = B^2/(2I) - I g^2 (1 - cos beta); zero at the unstable point,
-    positive for librations, -2 I g^2 at the bottom.  Past |B| = sqrt(float
-    max), where B^2 overflows while H need not, the kinetic term is B (B/(2I)).
+    positive for librations, -2 I g^2 at the bottom.  The kinetic term is
+    formed as B (B/(2I)), which stays finite where B^2 would overflow while H
+    does not, and at I = 1 is B^2/2 correctly rounded.
     """
     return _energies((state,), par)[0]
 
@@ -163,8 +158,7 @@ def _energies(states: Iterable[PhaseState], par: PendulumParams) -> list[float]:
     """hamiltonian of each state, with 2I and I g^2 formed once."""
     two_i = 2.0 * par.I
     igg = par.I * par.g**2
-    return [(B**2 / two_i if abs(B) <= _SQRT_FLOAT_MAX else B * (B / two_i)) - igg * (1.0 - math.cos(beta))
-            for B, beta in states]
+    return [B * (B / two_i) - igg * (1.0 - math.cos(beta)) for B, beta in states]
 
 
 def energy_from_nome(x_prime: float, par: PendulumParams) -> float:
@@ -238,8 +232,7 @@ def _whole_periods(chart: Callable, x_prime: float, g0: float, t: float) -> Phas
     chart(s) at s = t less whole periods T = ln(1/x') / g0, |s| <= T / 2: over
     a period e -> e / x' shifts the sums by a term and beta gains 2 pi."""
     period = -math.log(x_prime) / g0
-    reduced = math.fmod(t, period)
-    reduced -= period * round(reduced / period)
+    reduced = math.remainder(t, period)
     state = chart(reduced)
     turns = round((t - reduced) / period)
     return _new(PhaseState, (state.B, state.beta + 2.0 * math.pi * turns))

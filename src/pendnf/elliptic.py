@@ -85,14 +85,8 @@ class Modulus:
     def from_k(cls, k: float) -> "Modulus":
         if not k > 0.0:
             raise ValueError(f"k must be positive, got {k}")
-        if k > 1.0:
-            r = 1.0 / k
-            h_prime = 1.0 / math.sqrt(1.0 + r * r)
-            h = r * h_prime
-        else:
-            h = 1.0 / math.sqrt(1.0 + k * k)
-            h_prime = k * h
-        return cls(h, h_prime, k)
+        s = math.hypot(1.0, k)
+        return cls(1.0 / s, k / s if k < math.inf else 1.0, k)     # k = inf: the separatrix
 
     @classmethod
     def from_energy(cls, energy: float, inertia: float, g: float) -> "Modulus":

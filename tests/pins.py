@@ -334,7 +334,7 @@ for _name in ("g0_series", "energy_series"):
 
 @_pin("hamiltonian/square_below_limit")
 def _hamiltonian_square():
-    """B^2/(2I) - I g^2 (1 - cos beta) where B^2 is finite."""
+    """B (B/(2I)) - I g^2 (1 - cos beta) where B^2 is finite."""
     rng = random.Random(1515)
     limit = math.sqrt(sys.float_info.max)
     with np.errstate(over="ignore"):

@@ -109,6 +109,15 @@ class TestExitCodes:
         for row in rows:
             assert float(row[3]) == pytest.approx(2e290 * 0.09 / 0.91, rel=1e-12)
 
+    def test_rk_past_the_float_range_is_one(self, capsys):
+        # closed, series and normal answer B = 8.947e302 here; rk's dense
+        # output passes the largest float, and names |t| where it printed nan
+        argv = ["trajectory", "--method", "rk", "--h", "0.3", "--t1", "0.002", "--dt", "0.001",
+                "--I", "1e300", "--g", "700"]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == ("", "pend-nf: check failed: reference integration to |t| = 0.002 "
+                                           "passes the float range in its dense output\n")
+
     def test_large_momentum_verifies(self, capsys):
         assert run_cli(["verify", "--suite", "dynamics", "--I", "1e300", "--g", "1e-5"]) == 0
         assert capsys.readouterr().out.endswith("OK: 3/3 checks passed\n")

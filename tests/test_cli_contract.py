@@ -1,0 +1,104 @@
+"""The CLI's contract over drawn `trajectory` and `map` argv (README, "Exit
+codes"): exit 0, 2, or 1 with one `pend-nf: check failed:` line; at a nonzero
+exit one `pend-nf:` line on stderr and nothing on stdout; at exit 0 every
+printed number finite; and no exception out of `main`.
+
+Values are edge and uniform floats that parse, so every exit comes from the
+library, not from argparse.  A trajectory draws its sample count (up to 40),
+not t1, so a grid stays small.  The reference integrator's step cap is cut
+to 500 steps, so a long `rk` solve reaches its named error in some 40 ms;
+the alarm only guards against a hang.
+"""
+
+import contextlib
+import io
+import json
+import math
+import signal
+from unittest import mock
+
+from hypothesis import assume, example, given, settings, strategies as st
+
+from pendnf import _dop853, cli
+
+EDGES = (5e-324, 2.2250738585072014e-308, 1e-300, 1e-12, 1e-8, 0.5, 0.999999, 1.0, 2.0, 700.0,
+         249700.0, 1e10, 1e154, 1e300, 1.7976931348623157e308)
+POSITIVE = st.one_of(st.sampled_from(EDGES), st.floats(1e-3, 1e3))
+MODULUS = st.one_of(st.sampled_from((5e-324, 1e-300, 1e-8, 0.999999, 1.0)), st.floats(1e-9, 0.999))
+FINITE = st.one_of(st.just(0.0), st.tuples(POSITIVE, st.booleans()).map(lambda v: -v[0] if v[1] else v[0]))
+CONTRACT = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+def _arg(flag, value):
+    # --t0=-1e-08, not --t0 -1e-08: argparse takes a negative number in
+    # exponent form for an option
+    return [f"{flag}={value!r}"]
+
+
+@st.composite
+def trajectory_argv(draw):
+    method = draw(st.sampled_from(cli.dynamics.TRAJECTORY_METHODS))
+    orbit = draw(st.one_of(st.tuples(st.just("--h"), MODULUS), st.tuples(st.just("--energy"), FINITE)))
+    t0, dt, count = draw(FINITE), draw(POSITIVE), draw(st.integers(0, 40))
+    assume(math.isfinite(t0 + count * dt))
+    argv = ["trajectory", "--method", method, *_arg(*orbit), *_arg("--I", draw(POSITIVE)),
+            *_arg("--g", draw(POSITIVE)), *_arg("--t0", t0), *_arg("--t1", t0 + count * dt), *_arg("--dt", dt)]
+    if draw(st.booleans()):
+        argv += _arg("--tol", draw(st.sampled_from((1e-14, 1e-13, 1e-10, 1e-6, 1e-3))))
+    return argv
+
+
+@st.composite
+def map_argv(draw):
+    return ["map", *_arg("--p", draw(FINITE)), *_arg("--q", draw(FINITE)), *_arg("--I", draw(POSITIVE)),
+            *_arg("--g", draw(POSITIVE)), "--format", draw(st.sampled_from(("json", "text")))]
+
+
+def _printed_numbers(argv, out):
+    if argv[0] == "trajectory":
+        return [float(v) for line in out.splitlines()[1:] for v in line.split(",")[:4]]
+    if "json" in argv:
+        return list(json.loads(out).values())
+    return [float(line.split(" = ")[1]) for line in out.splitlines()]
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("pend-nf did not return within 30 s")
+
+
+def check_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(30)
+    try:
+        with mock.patch.object(_dop853, "MAX_STEPS", 500), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    if code == 0:
+        assert err == "", (argv, err)
+        assert all(math.isfinite(v) for v in _printed_numbers(argv, out)), (argv, out)
+    else:
+        prefix = "pend-nf: check failed: " if code == 1 else "pend-nf: error: "
+        assert out == "" and err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+
+
+@CONTRACT
+@given(trajectory_argv())
+@example(["trajectory", "--method", "rk", "--h", "0.3", "--t1", "0.002", "--dt", "0.001",
+          "--I", "1e300", "--g", "700"])
+def test_trajectory(argv):
+    check_contract(argv)
+
+
+@CONTRACT
+@given(map_argv())
+def test_map(argv):
+    check_contract(argv)

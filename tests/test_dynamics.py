@@ -45,8 +45,29 @@ class TestHamiltonian:
             energy = dyn.hamiltonian(PhaseState(B, 0.0), par)
         assert energy == pytest.approx(2e290 * 0.09 / 0.91, rel=1e-12)
 
-    def test_bits_match_the_square_below_the_limit(self):
+    def test_bits_where_the_square_is_finite(self):
         pins.check("hamiltonian/square_below_limit")
+
+    def test_kinetic_term_is_correctly_rounded_at_unit_inertia(self):
+        # at beta = 0 the energy is the kinetic term alone; at I = 1 it is
+        # B^2/2 rounded once, where libm's B**2 misrounds about one square in 1,200
+        rng = random.Random(2900)
+        par = PendulumParams(1.0, 1.0)
+        for _ in range(20_000):
+            B = rng.choice((rng.uniform(-10.0, 10.0), rng.choice((1, -1)) * 10 ** rng.uniform(-150, 154)))
+            assert dyn.hamiltonian(PhaseState(B, 0.0), par) == float(Fraction(B) ** 2 / 2)
+
+    @pytest.mark.parametrize("I", [1e-300, 0.37, 2.5, 1e300])
+    def test_kinetic_term_within_one_and_a_half_ulp(self, I):
+        # two roundings, B/(2I) and the product, with both normal: B from
+        # 1e-50 sqrt(I) to 1e50 sqrt(I), past sqrt(float max) at I = 1e300
+        rng = random.Random(2901)
+        par = PendulumParams(I, 1.0)
+        for _ in range(5_000):
+            B = rng.choice((1, -1)) * math.sqrt(I) * 10 ** rng.uniform(-50, 50)
+            exact = Fraction(B) ** 2 / (2 * Fraction(I))
+            error = abs(Fraction(dyn.hamiltonian(PhaseState(B, 0.0), par)) - exact)
+            assert error <= Fraction(3, 2) * Fraction(math.ulp(float(exact)))
 
 
 class TestClosedForm:
@@ -176,6 +197,20 @@ class TestSeriesState:
             # one step past the bound the chart still answers
             t = math.nextafter(bound / g0, math.inf)
             assert all(math.isfinite(v) for v in dyn.series_state(x, t, par))
+
+    def test_whole_periods_come_off_exactly(self):
+        # t = s + n T exactly, |s| <= T / 2 and beta gains 2 pi n, also at
+        # the ties t = (n +- 1/2) T and their neighbours
+        for x, g0 in ((0.3, 1.7), (0.01, 0.37)):
+            period = -math.log(x) / g0
+            for n in (1, 2, 7, -3, 1000, -10**6):
+                for tie in ((n + 0.5) * period, (n - 0.5) * period):
+                    for t in (math.nextafter(tie, -math.inf), tie, math.nextafter(tie, math.inf)):
+                        s, beta = dyn._whole_periods(lambda reduced: PhaseState(reduced, 0.0), x, g0, t)
+                        turns = round(beta / (2.0 * math.pi))
+                        assert beta == 2.0 * math.pi * turns
+                        assert Fraction(t) - Fraction(s) == turns * Fraction(period)
+                        assert abs(s) <= period / 2
 
     def test_zero_nome_is_the_equilibrium_at_any_time(self, par):
         for t in (0.0, 1.0, 800.0, -801.0, 1e300, -1e300):
@@ -681,6 +716,18 @@ class TestReferenceIntegrator:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dyn.rk_oracle(PhaseState(1.0, 0.0), par, -1.0)
 
+    def test_dense_output_past_the_float_range_is_named(self):
+        # slopes I g^2 sin(beta) near 5e305 times the dense output's
+        # coefficients pass the largest float, where the polynomial formed
+        # inf - inf; the error names |t|, forward and backward
+        state = PhaseState(6.096092952767045e302, -2.7610356490065)
+        par, t, tol = PendulumParams(1e300, 731.143177135984), 0.001154756123524308, 2.2073969145595686e-08
+        message = f"reference integration to |t| = {t} passes the float range in its dense output"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            dyn.rk_oracle(state, par, t, tol)
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            dyn.rk_oracle(PhaseState(-state.B, state.beta), par, -t, tol)
+
     @pytest.mark.parametrize("state", [PhaseState(math.nan, 0.0), PhaseState(0.0, math.inf)])
     def test_nonfinite_start_is_named(self, par, state):
         # a NaN never trips the minimum-step failure, so it must not start
@@ -899,6 +946,16 @@ class TestTrajectory:
 def test_non_finite_time_or_gamma_is_named(call, value, par):
     with pytest.raises(ValueError, match=f"got {value}$"):
         call(value, par)
+
+
+def test_wrap_angle_is_the_exact_remainder():
+    # beta less whole turns of the float 2 pi, exactly, in (-pi, pi]: at the
+    # multiples of pi, where the ties sit, and their neighbours
+    for k in (*range(-40, 41), 10**6 + 1, -(10**6) - 1, 2**40):
+        for beta in (math.nextafter(k * math.pi, -math.inf), k * math.pi, math.nextafter(k * math.pi, math.inf)):
+            got = dyn.wrap_angle(beta)
+            assert -math.pi < got <= math.pi
+            assert ((Fraction(beta) - Fraction(got)) / Fraction(2.0 * math.pi)).denominator == 1
 
 
 class TestParams:

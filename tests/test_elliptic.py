@@ -97,8 +97,8 @@ class TestModulus:
             assert abs(mod.h**2 + mod.h_prime**2 - 1.0) < 1e-14
 
     def test_separatrix_limit(self):
-        mod = Modulus.from_h(0.0)
-        assert mod.k == math.inf and mod.h_prime == 1.0
+        for mod in (Modulus.from_h(0.0), Modulus.from_k(math.inf)):
+            assert (mod.h, mod.h_prime, mod.k) == (0.0, 1.0, math.inf)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

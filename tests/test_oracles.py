@@ -212,6 +212,17 @@ class TestEllipticKernel:
             for value, want in zip(got, jacobi_oracle(u, m)):
                 assert float(abs(value - want)) <= bound * max(1.0, abs(u)), (u, m)
 
+    def test_modulus_from_k(self):
+        # h = 1/hypot(1, k) and h' = k/hypot(1, k): two roundings each, within
+        # 1.5 ulp of 1/sqrt(1 + k^2) and k/sqrt(1 + k^2)
+        rng = random.Random(20_029)
+        for k in [1e-7, 1.0, 1e300] + [10 ** rng.uniform(-7, 300) for _ in range(3000)]:
+            mod = Modulus.from_k(k)
+            with mp.workdps(DIGITS):
+                root = mpmath.sqrt(1 + mpmath.mpf(k) ** 2)
+                for got, want in ((mod.h, 1 / root), (mod.h_prime, k / root)):
+                    assert float(abs(got - want)) <= 1.5 * math.ulp(float(want)), k
+
     def test_nome_from_h(self):
         # relative error within 4 eps (1 + ln(1/x')) against
         # exp(-pi K(h') / K(h)) of the Modulus's own floats h and h'; near
