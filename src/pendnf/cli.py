@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -53,6 +54,8 @@ _SERIES = {
     "Us": (lambda order: normal_form.stable_bundle(order).energy, lambda n, s32, g: s32 * g),
 }
 SERIES_NAMES = tuple(_SERIES)
+# a negative float literal is an option's value (argparse's own pattern misses -1e-05 and -inf)
+_NEGATIVE_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 class CheckResult(NamedTuple):
@@ -482,6 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(command, help=help_line)
         if command != named:
             continue
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         if common:
             p.add_argument("--I", type=_positive_float, default=1.0, help="inertia moment (default 1)")
             p.add_argument("--g", type=_positive_float, default=1.0, help="gravity rate (default 1)")

@@ -70,6 +70,7 @@ _FLOAT_MIN = sys.float_info.min
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(_FLOAT_MIN)
 TRAJECTORY_METHODS = ("closed", "series", "normal", "rk")
+_MAX_SAMPLES = 1_000_000    # samples in a trajectory; the CLI's peak is near 500 bytes each, 0.5 GB
 # builds a NamedTuple from the tuple of its fields, without the Python-level
 # __new__ the class generates: _new(PhaseState, (B, beta))
 _new = tuple.__new__
@@ -93,6 +94,9 @@ class PendulumParams:
             raise ValueError(
                 f"32*I*g and 32*I*g^2 must be finite and positive, got I = {self.I}, g = {self.g}"
             )
+        # I g^2 as _energies and _rk_batch form it (g**2 raises OverflowError from 2^512 on)
+        if not (self.g < 2.0**512 and 0.0 < self.I * self.g**2 < math.inf):
+            raise ValueError(f"I*g^2 must be finite and positive, got I = {self.I}, g = {self.g}")
         # the cached charts look their params up once or twice per sample
         object.__setattr__(self, "_hash", hash((self.I, self.g)))
 
@@ -299,10 +303,10 @@ def _action_range() -> tuple[float, float]:
 
 
 def nome_from_action(x: float, par: PendulumParams) -> float:
-    """Invert the map x = x' a^2(x') for the nome on |x'| <= 0.5, by
-    safeguarded Newton (absolute tolerance 1e-14 on x').  The polynomial
-    inverted is exactly the one action_from_nome evaluates, x' times the
-    truncated a^2 series.
+    """Invert the map x = x' a^2(x') for the nome on |x'| <= 0.5: Newton in
+    the bracket [0, +-0.5], bisecting where it leaves it or cycles, to a step
+    of 1e-14 on x'.  The polynomial inverted is exactly the one action_from_nome
+    evaluates, x' times the truncated a^2 series.
 
     Results are cached on (x, par), so a map query that needs the nome for
     x', the phase state and the normal energy solves once.  The rounding of
@@ -315,44 +319,31 @@ def nome_from_action(x: float, par: PendulumParams) -> float:
 
 @functools.lru_cache(maxsize=4)
 def _action_orbit(x: float, par: PendulumParams) -> tuple[float, float, float]:
-    """The orbit of action x = p q: its nome x' (nome_from_action), the
-    rescale a(x') = sqrt(32 I g a^2(x')) and the rate g0(x'), from one solve."""
+    """The orbit of action x = p q from one bracketed solve: its nome x'
+    (nome_from_action), the rescale a(x') = sqrt(32 I g a^2(x')), g0(x')."""
     if not math.isfinite(x):
         raise ValueError(f"action x = p q must be finite, got {x}")
     target = x / par.action_scale
     y = 0.0
     if target != 0.0:
-        # y a^2(y) is increasing on [-_NOME_BOUND, _NOME_BOUND], its slope
-        # nowhere below 6.5e-4 (the least is near y = -0.454), so a target
-        # between the ends has one root, bracketed by 0 and the end on the
-        # target's side
+        # y a^2(y) increases on [-_NOME_BOUND, _NOME_BOUND] (slope >= 6.5e-4, least at -0.454)
         low, high = _action_range()
         if not low <= target <= high:
             raise ValueError(f"action {x} is outside the invertible range (|x'| <= {_NOME_BOUND})")
         lo, hi = (0.0, _NOME_BOUND) if target > 0.0 else (-_NOME_BOUND, 0.0)
-        y = min(max(target, lo), hi)
-        for _ in range(200):
+        # Newton inside [lo, hi], bisecting where a step leaves it or returns to the
+        # iterate before last (y_back, NaN at first).  No cap is needed: each iterate
+        # becomes lo or hi, a float bracket narrows finitely often, and while it stands
+        # still the iterates sit on its ends: a repeat stops the loop, a 2-cycle bisects.
+        y, y_back = min(max(target, lo), hi), math.nan
+        while not abs(y - y_back) <= 1e-14 * max(1.0, abs(y)):
             a2, slope = _rescale_sq(y)
             val = y * a2 - target
-            if val > 0.0:
-                hi = y
-            else:
-                lo = y
-            y, y_old = y - val / slope, y
-            if not lo <= y <= hi:
-                y = 0.5 * (lo + hi)
-            if abs(y - y_old) <= 1e-14 * max(1.0, abs(y)):
-                break
-        else:
-            # where the slope is small, Newton can alternate between two
-            # roundings of the root just over 1e-14 apart: bisect the bracket
-            while hi - lo > 1e-14:
-                mid = 0.5 * (lo + hi)
-                if mid * _rescale_sq(mid)[0] - target > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            y = 0.5 * (lo + hi)
+            lo, hi = (lo, y) if val > 0.0 else (y, hi)
+            y_next = y - val / slope
+            if y_next == y_back or not lo <= y_next <= hi:
+                y_next = 0.5 * (lo + hi)
+            y_back, y = y, y_next
     return y, math.sqrt(par.action_scale * _rescale_sq(y)[0]), elliptic.g0_from_nome(y, par.g)
 
 
@@ -559,6 +550,8 @@ def _time_grid(t0: float, t1: float, dt: float) -> list[float]:
     # a step), so far from t = 0 the t1 sample is kept
     slack = min(4.0 * math.ulp(max(abs(t0), abs(t1))) / dt, 0.5)
     steps = int(math.floor(span + 1e-9 + slack))
+    if steps >= _MAX_SAMPLES:
+        raise ValueError(f"{steps + 1} samples exceed the cap of {_MAX_SAMPLES} (t0 = {t0}, t1 = {t1}, dt = {dt})")
     return [t0 + i * dt for i in range(steps + 1)]
 
 

@@ -79,6 +79,8 @@ class Modulus:
             raise ValueError(f"h must lie in [0, 1), got {h}")
         h_prime = math.sqrt(1.0 - h * h)
         k = h_prime / h if h > 0.0 else math.inf
+        if h > 0.0 and k == math.inf:
+            raise ValueError(f"h = {h} is too small for a finite modulus: k = h'/h overflows")
         return cls(h, h_prime, k)
 
     @classmethod

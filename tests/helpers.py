@@ -11,8 +11,11 @@ def integer_coefficients_start(s, start: int = 0) -> bool:
 
 def newton_nome(x, par):
     """dynamics.nome_from_action by Newton alone, uncached, as it was before
-    the bisection fallback: it raised where 200 steps did not meet the step
-    test, which happens where Newton alternates between two points."""
+    any bisection: it raised where 200 steps did not meet the step test,
+    which happens where Newton alternates between two roundings of the root.
+    It defines the formerly stalled solves.  Wherever it answers, the
+    bracketed loop of dynamics._action_orbit answers with the same bits, as
+    its revisit rule fires only on such a 2-cycle."""
     from pendnf import dynamics as dyn
 
     if not math.isfinite(x):

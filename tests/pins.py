@@ -379,7 +379,8 @@ def _negative_side():
     """Fresh solves, two thirds near the saturated negative end of the map:
     where Newton alone converges, the bits or the range error of the search
     that widened the bracket by 1.5 from the target; where it does not, the
-    bisection answers, inside the bracket [-_NOME_BOUND, 0]."""
+    bisection step that breaks its 2-cycle leads to an answer inside the
+    bracket [-_NOME_BOUND, 0]."""
     rng = random.Random(8401)
     stalled = 0
     for i in range(5000):
@@ -392,7 +393,7 @@ def _negative_side():
             y = float(line)
             assert -dyn._NOME_BOUND <= y <= 0.0, (x, y)
         yield line
-    # the inputs reach the solves that need the bisection
+    # the inputs reach the solves where Newton alone cycles
     assert stalled > 20, stalled
 
 

@@ -53,6 +53,11 @@ class TestExitCodes:
         (["map", "--p", "0.3", "--q", "0.2", "--I", "inf"], "--I"),
         (["map", "--p", "0.3", "--q", "0.2", "--g", "inf"], "--g"),
         (["verify", "--suite", "legendre", "--tol", "inf"], "--tol"),
+        # negative non-finite literals are values too, and fail by name
+        (["map", "--p", "-inf", "--q", "1"], "--p"),
+        (["trajectory", "--method", "closed", "--h", "0.3", "--t0", "-nan", "--t1", "1",
+          "--dt", "0.5"], "--t0"),
+        (["map", "--p", "0.3", "--q", "-Infinity"], "--q"),
     ])
     def test_non_finite_float_is_two(self, capsys, argv, flag):
         assert run_cli(argv) == 2
@@ -95,6 +100,33 @@ class TestExitCodes:
         assert out == ""
         assert err == (f"pend-nf: error: 32*I*g and 32*I*g^2 must be finite and positive, "
                        f"got I = {I}, g = {g}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["trajectory", "--method", "closed", "--h", "0.3", "--t1", "1e9", "--dt", "1"],
+         "1000000001 samples exceed the cap of 1000000 (t0 = 0.0, t1 = 1000000000.0, dt = 1.0)"),
+        (["trajectory", "--method", "rk", "--h", "5e-324", "--t1", "1", "--dt", "1"],
+         "h = 5e-324 is too small for a finite modulus: k = h'/h overflows"),
+        (["trajectory", "--method", "closed", "--h", "1e-310", "--t1", "1", "--dt", "1"],
+         "h = 1e-310 is too small for a finite modulus: k = h'/h overflows"),
+        (["map", "--p=-0.999999", "--q=0.0", "--I=5e-324", "--g=1e+300"],
+         "I*g^2 must be finite and positive, got I = 5e-324, g = 1e+300"),
+        (["trajectory", "--method", "rk", "--h", "0.3", "--t1", "1", "--dt", "1", "--I=5e-324", "--g=1e+300"],
+         "I*g^2 must be finite and positive, got I = 5e-324, g = 1e+300"),
+    ])
+    def test_input_the_library_refuses_is_named(self, capsys, argv, message):
+        # a sample count past the cap, an h whose k = h'/h overflows, a g
+        # whose square overflows: one named line each, before any work
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", f"pend-nf: error: {message}\n")
+
+    @pytest.mark.parametrize("value", ["-1e-05", "-2.5E-1", "-.5e-3", "-1"])
+    def test_negative_values_in_exponent_form_parse(self, capsys, value):
+        # the same output as the --p=value form
+        assert run_cli(["map", "--p", value, "--q", "0.2"]) == 0
+        spaced = capsys.readouterr()
+        assert run_cli(["map", f"--p={value}", "--q", "0.2"]) == 0
+        assert capsys.readouterr() == spaced and spaced.err == ""
+        assert json.loads(spaced.out)["p"] == float(value)
 
     @pytest.mark.parametrize("method", ["closed", "series", "normal", "rk"])
     def test_large_momentum_answers(self, capsys, method):

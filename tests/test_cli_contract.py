@@ -4,10 +4,12 @@ exit one `pend-nf:` line on stderr and nothing on stdout; at exit 0 every
 printed number finite; and no exception out of `main`.
 
 Values are edge and uniform floats that parse, so every exit comes from the
-library, not from argparse.  A trajectory draws its sample count (up to 40),
-not t1, so a grid stays small.  The reference integrator's step cap is cut
-to 500 steps, so a long `rk` solve reaches its named error in some 40 ms;
-the alarm only guards against a hang.
+library, not from argparse; a negative one is passed as `--t0 -1e-08`.  A
+trajectory draws its sample count (up to 40), not t1, so a grid stays
+small; one example asks for 1e9 samples, which the sample cap refuses at
+once.  The reference integrator's step cap is cut to 500 steps, so a long
+`rk` solve reaches its named error in some 40 ms; the alarm only guards
+against a hang.
 """
 
 import contextlib
@@ -29,29 +31,23 @@ FINITE = st.one_of(st.just(0.0), st.tuples(POSITIVE, st.booleans()).map(lambda v
 CONTRACT = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
-def _arg(flag, value):
-    # --t0=-1e-08, not --t0 -1e-08: argparse takes a negative number in
-    # exponent form for an option
-    return [f"{flag}={value!r}"]
-
-
 @st.composite
 def trajectory_argv(draw):
     method = draw(st.sampled_from(cli.dynamics.TRAJECTORY_METHODS))
     orbit = draw(st.one_of(st.tuples(st.just("--h"), MODULUS), st.tuples(st.just("--energy"), FINITE)))
     t0, dt, count = draw(FINITE), draw(POSITIVE), draw(st.integers(0, 40))
     assume(math.isfinite(t0 + count * dt))
-    argv = ["trajectory", "--method", method, *_arg(*orbit), *_arg("--I", draw(POSITIVE)),
-            *_arg("--g", draw(POSITIVE)), *_arg("--t0", t0), *_arg("--t1", t0 + count * dt), *_arg("--dt", dt)]
+    argv = ["trajectory", "--method", method, orbit[0], repr(orbit[1]), "--I", repr(draw(POSITIVE)),
+            "--g", repr(draw(POSITIVE)), "--t0", repr(t0), "--t1", repr(t0 + count * dt), "--dt", repr(dt)]
     if draw(st.booleans()):
-        argv += _arg("--tol", draw(st.sampled_from((1e-14, 1e-13, 1e-10, 1e-6, 1e-3))))
+        argv += ["--tol", repr(draw(st.sampled_from((1e-14, 1e-13, 1e-10, 1e-6, 1e-3))))]
     return argv
 
 
 @st.composite
 def map_argv(draw):
-    return ["map", *_arg("--p", draw(FINITE)), *_arg("--q", draw(FINITE)), *_arg("--I", draw(POSITIVE)),
-            *_arg("--g", draw(POSITIVE)), "--format", draw(st.sampled_from(("json", "text")))]
+    return ["map", "--p", repr(draw(FINITE)), "--q", repr(draw(FINITE)), "--I", repr(draw(POSITIVE)),
+            "--g", repr(draw(POSITIVE)), "--format", draw(st.sampled_from(("json", "text")))]
 
 
 def _printed_numbers(argv, out):
@@ -94,6 +90,7 @@ def check_contract(argv):
 @given(trajectory_argv())
 @example(["trajectory", "--method", "rk", "--h", "0.3", "--t1", "0.002", "--dt", "0.001",
           "--I", "1e300", "--g", "700"])
+@example(["trajectory", "--method", "closed", "--h", "0.3", "--t1", "1e9", "--dt", "1"])
 def test_trajectory(argv):
     check_contract(argv)
 

@@ -966,11 +966,22 @@ class TestParams:
             PendulumParams(I=1.0, g=-2.0)
 
     @pytest.mark.parametrize("I, g", [(1e300, 1e10), (1e308, 1e308), (1e-200, 1e-200),
-                                      (1e150, 1e150), (1e-100, 1e-120), (math.inf, 1.0)])
+                                      (1e150, 1e150), (1e-100, 1e-120), (math.inf, 1.0),
+                                      (5e-324, 1e300), (1e-200, 1e170), (5e-324, 2.0**512),
+                                      (1e300, 1e-170)])
     def test_scales_must_be_finite_and_positive(self, I, g):
-        # 32 I g or 32 I g^2 overflows or underflows to 0
+        # 32 I g or 32 I g^2 overflows or underflows to 0; in the last four,
+        # I g^2 as the energies form it, I * g**2, does: g**2 overflows, and
+        # pow raises OverflowError, or it underflows to 0
         with pytest.raises(ValueError, match=re.escape(f"got I = {I}, g = {g}") + "$"):
             PendulumParams(I=I, g=g)
+
+    def test_the_largest_g_whose_square_is_finite(self):
+        # one ulp below 2^512, g**2 is the float below the largest one
+        g = math.nextafter(2.0**512, 0.0)
+        par = PendulumParams(I=5e-324, g=g)
+        assert g**2 == math.nextafter(sys.float_info.max, 0.0)
+        assert dyn.hamiltonian(PhaseState(0.0, math.pi), par) == -2.0 * (5e-324 * g**2)
 
     def test_extreme_but_representable_scales(self):
         par = PendulumParams(I=1e150, g=1e-150)
@@ -1028,6 +1039,17 @@ class TestTimeGrid:
                 assert grid[:-1] == floor_grid
                 assert grid[-1] - t1 <= 4 * math.ulp(max(abs(t0), abs(t1)))
         assert added > 0
+
+    def test_sample_count_is_capped_before_the_grid_is_built(self, monkeypatch):
+        monkeypatch.setattr(dyn, "_MAX_SAMPLES", 10)
+        assert len(dyn._time_grid(0.0, 9.0, 1.0)) == 10
+        with pytest.raises(ValueError, match=r"^11 samples exceed the cap of 10 \(t0 = 0\.0, t1 = 10\.0, dt = 1\.0\)$"):
+            dyn._time_grid(0.0, 10.0, 1.0)
+
+    def test_a_huge_trajectory_is_refused_at_once(self):
+        # 1e9 samples, which the list would need gigabytes for
+        with pytest.raises(ValueError, match=r"^1000000001 samples exceed the cap of 1000000 "):
+            dyn.trajectory("closed", Modulus.from_h(0.3), PendulumParams(1.0, 1.0), 0.0, 1e9, 1.0)
 
     def test_grids_from_origin_keep_their_endpoint(self):
         for t1, dt, n in ((10.0, 0.01, 1000), (2.0, 0.01, 200), (1.0, 0.3, 3), (0.0, 0.5, 0)):

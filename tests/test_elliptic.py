@@ -108,6 +108,14 @@ class TestModulus:
         with pytest.raises(ValueError):
             Modulus(h=0.5, h_prime=0.5, k=1.0)  # h^2 + h'^2 != 1
 
+    @pytest.mark.parametrize("h", [5e-324, 1e-310, 5.56e-309])
+    def test_from_h_names_an_h_too_small_for_a_finite_k(self, h):
+        # k = h'/h passes the largest float below h = 1 / float max (5.563e-309)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'h = {h} is too small for a finite modulus: k = ')}"):
+            Modulus.from_h(h)
+        mod = Modulus.from_h(5.57e-309)
+        assert (mod.h_prime, mod.k) == (1.0, 1.0 / 5.57e-309)
+
     @pytest.mark.parametrize("h, h_prime, k, message", [
         (1.5, 0.0, 0.0, "h must lie in [0, 1), got 1.5"),
         (-0.6, 0.8, 1.0, "h must lie in [0, 1), got -0.6"),

@@ -24,6 +24,7 @@ about the bottom, beta = -2 asin(kappa sn(g t)), B = -2 I g kappa cn(g t), where
 the scaled coordinates turn at the rate g0_s = g / theta_3(x_s')^2 = pi g / (2 K).
 """
 
+import functools
 import json
 import math
 import random
@@ -377,6 +378,23 @@ CATALOGUE = [key.split()[1:] for key in json.loads(
     if key.startswith("map ")]
 
 
+@functools.cache
+def stalled_actions():
+    """1,000 seeded actions at x' in [-0.5, -0.3], over SCAN_PARAMS, where
+    Newton alone (helpers.newton_nome) alternates between two roundings of
+    the root and used to stall."""
+    rng = random.Random(20_033)
+    stalled = []
+    while len(stalled) < 1000:
+        par = SCAN_PARAMS[len(stalled) % 3]
+        x = dyn.action_from_nome(rng.uniform(-0.5, -0.3), par)
+        try:
+            newton_nome(x, par)
+        except RuntimeError:
+            stalled.append((x, par))
+    return stalled
+
+
 class TestNomeInversion:
     # max |x' - root| by |x'| band, up to 0.35, 0.40, 0.45 and 0.5, above
     # what 2,000 solves that Newton finishes reach there (2.0e-14, 1.0e-13,
@@ -384,22 +402,27 @@ class TestNomeInversion:
     BANDS = ((0.35, 3e-14), (0.40, 1.5e-13), (0.45, 1e-12), (math.inf, 2e-12))
 
     def test_formerly_stalled_solves_against_polynomial_roots(self):
-        # where Newton alternates between two roundings of the root and used
-        # to raise, the bisection answers as closely as a finished solve
-        rng = random.Random(20_033)
-        stalled = []
-        while len(stalled) < 1000:
-            par = SCAN_PARAMS[len(stalled) % 3]
-            x = dyn.action_from_nome(rng.uniform(-0.5, -0.3), par)
-            try:
-                newton_nome(x, par)
-            except RuntimeError:
-                stalled.append((x, par))
-        for x, par in stalled:
+        # where Newton alone cycles, the bisection step that breaks the cycle
+        # leads to an answer as close as a finished solve's
+        for x, par in stalled_actions():
             got = dyn.nome_from_action(x, par)
             want = polynomial_root(x / par.action_scale, got)
             bound = next(b for edge, b in self.BANDS if abs(got) < edge)
             assert float(abs(got - want)) <= bound, (x, par)
+
+    def test_formerly_stalled_solves_take_few_steps(self, monkeypatch):
+        # Horner passes per uncached solve, the rescale's after the loop
+        # included: 11-25 measured, where 200 capped Newton steps and a
+        # bisection of the bracket took 202-209
+        dyn._action_range()
+        rescale_sq, points = dyn._rescale_sq, []
+        monkeypatch.setattr(dyn, "_rescale_sq", lambda y: points.append(y) or rescale_sq(y))
+        passes = []
+        for x, par in stalled_actions():
+            points.clear()
+            dyn._action_orbit.__wrapped__(x, par)
+            passes.append(len(points))
+        assert max(passes) <= 40, max(passes)
 
 
 class TestHyperbolicChart:
