@@ -2,18 +2,21 @@
 trajectory sampling and canonical-map queries.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Identical
-invocations produce byte-identical output.  Each call builds its parser from
-the command table, _COMMANDS, with arguments for the invoked subcommand only.
+invocations produce byte-identical output.  Every option is declared once, in
+_COMMANDS; a strict reader parses a well-formed argv from that table, and
+argparse builds its parser from it, for the dispatched subcommand only, just
+for help, usage errors and any argv the reader does not take.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import dynamics, elliptic, normal_form
@@ -71,13 +74,18 @@ class CheckResult(NamedTuple):
         return f"{status}  {self.name}: measured {self.measured:.3e} vs tolerance {self.tolerance:.3e}{note}"
 
 
+def _refused(message: str) -> Exception:
+    import argparse     # only once a value is refused, so a well-formed argv never loads it
+    return argparse.ArgumentTypeError(message)
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        raise _refused(f"not an integer: {text!r}") from exc
     if value < 1:
-        raise argparse.ArgumentTypeError(f"order must be >= 1, got {value}")
+        raise _refused(f"order must be >= 1, got {value}")
     return value
 
 
@@ -85,16 +93,16 @@ def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+        raise _refused(f"not a number: {text!r}") from exc
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        raise _refused(f"must be finite, got {value}")
     return value
 
 
 def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        raise _refused(f"must be positive, got {value}")
     return value
 
 
@@ -102,9 +110,9 @@ def _positive_fraction(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+        raise _refused(f"not an exact rational: {text!r}") from exc
     if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        raise _refused(f"must be positive, got {value}")
     return value
 
 
@@ -319,7 +327,7 @@ def _suite_stable(order: int, tol: float | None, par: PendulumParams) -> list[Ch
     return results
 
 
-def run_verify(args: argparse.Namespace) -> int:
+def run_verify(args: SimpleNamespace) -> int:
     par = PendulumParams(I=args.I, g=args.g)
     names = SUITES[1:] if args.suite == "all" else [args.suite]
     results: list[CheckResult] = []
@@ -330,7 +338,7 @@ def run_verify(args: argparse.Namespace) -> int:
     lines = [r.line() for r in results]
     passed = all(r.passed for r in results)
     lines.append(f"{'OK' if passed else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(lines, args.output)
     return 0 if passed else 1
 
 
@@ -338,7 +346,7 @@ def run_verify(args: argparse.Namespace) -> int:
 # coefficient tables
 
 
-def run_coeffs(args: argparse.Namespace) -> int:
+def run_coeffs(args: SimpleNamespace) -> int:
     build, factor = _SERIES[args.series]
     series = build(args.order)
     convention = "normalized (g = 1, 32*I*g = 1)"
@@ -351,15 +359,14 @@ def run_coeffs(args: argparse.Namespace) -> int:
         convention = f"physical (I = {inertia}, g = {g})"
 
     if args.format == "json":
-        _emit(series.to_json() + "\n", args.output)
+        _emit([series.to_json()], args.output)
     elif args.format == "csv":
         lines = [f"# series={args.series} convention={convention}", "power,numerator,denominator"]
         for n, c in enumerate(series.coeffs):
             lines.append(f"{n},{c.numerator},{c.denominator}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(lines, args.output)
     else:
-        lines = [f"series {args.series}, {convention}", str(series)]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit([f"series {args.series}, {convention}", str(series)], args.output)
     return 0
 
 
@@ -367,21 +374,20 @@ def run_coeffs(args: argparse.Namespace) -> int:
 # trajectories and map queries
 
 
-def run_trajectory(args: argparse.Namespace) -> int:
+def run_trajectory(args: SimpleNamespace) -> int:
     par = PendulumParams(I=args.I, g=args.g)
     if args.h is not None:
         mod = Modulus.from_h(args.h)
     else:
         mod = Modulus.from_energy(args.energy, par.I, par.g)
     records = dynamics.trajectory(args.method, mod, par, args.t0, args.t1, args.dt, tol=args.tol)
-    lines = ["t,B,beta,energy,method"]
-    for r in records:
-        lines.append(f"{r.t:.17g},{r.B:.17g},{r.beta:.17g},{r.energy:.17g},{r.method}")
-    _emit("\n".join(lines) + "\n", args.output)
+    # every record exists before the first line goes out, so a failed solve prints nothing
+    rows = (f"{r.t:.17g},{r.B:.17g},{r.beta:.17g},{r.energy:.17g},{r.method}" for r in records)
+    _emit(chain(["t,B,beta,energy,method"], rows), args.output)
     return 0
 
 
-def run_map(args: argparse.Namespace) -> int:
+def run_map(args: SimpleNamespace) -> int:
     par = PendulumParams(I=args.I, g=args.g)
     n = NormalCoords(args.p, args.q)
     x_prime = dynamics.nome_from_action(n.x, par)
@@ -399,20 +405,21 @@ def run_map(args: argparse.Namespace) -> int:
         "energy_normal": dynamics.normal_energy(n.x, par),
     }
     if args.format == "json":
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
+        _emit([json.dumps(payload, sort_keys=True)], args.output)
     else:
-        lines = [f"{key} = {payload[key]:.17g}" for key in sorted(payload)]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit([f"{key} = {payload[key]:.17g}" for key in sorted(payload)], args.output)
     return 0
 
 
-def _emit(text: str, output: str | None):
+def _emit(lines, output: str | None):
+    """Write each line and its newline as it comes, to stdout or to the output path."""
+    text = (f"{line}\n" for line in lines)
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         return
     try:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(text)
     except OSError as exc:
         raise ValueError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
@@ -421,81 +428,110 @@ def _emit(text: str, output: str | None):
 # argument parsing
 
 
-def _verify_arguments(p: argparse.ArgumentParser):
-    p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument("--order", type=_positive_int, default=200, help="series order for exact checks (default 200)")
-    p.add_argument("--tol", type=_positive_float, default=None,
-                   help="override the float checks' tolerances; jacobi_periodicity keeps a "
-                   "1e-10 floor, factorization_gamma_independent (1e-10) and "
-                   "stable_small_amplitude_frequency (1e-6) keep fixed bounds, and the "
-                   "exact and sign checks ignore it")
-
-
-def _coeffs_arguments(p: argparse.ArgumentParser):
-    p.add_argument("--series", choices=SERIES_NAMES, required=True)
-    p.add_argument("--order", type=_positive_int, default=20)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p.add_argument("--physical", action="store_true", help="rescale to physical I, g")
-    p.add_argument("--I", type=_positive_fraction, default=Fraction(1), dest="I_exact",
-                   help="inertia moment as an exact rational, e.g. 1/32 (with --physical)")
-    p.add_argument("--g", type=_positive_fraction, default=Fraction(1), dest="g_exact",
-                   help="gravity rate as an exact rational (with --physical)")
-    p.add_argument("--output", help="write to this path instead of stdout")
-
-
-def _trajectory_arguments(p: argparse.ArgumentParser):
-    p.add_argument("--method", choices=dynamics.TRAJECTORY_METHODS, required=True)
-    orbit = p.add_mutually_exclusive_group(required=True)
-    orbit.add_argument("--h", type=_positive_float, help="modulus h in (0, 1)")
-    orbit.add_argument("--energy", type=_finite_float, help="libration energy (> 0)")
-    p.add_argument("--t0", type=_finite_float, default=0.0)
-    p.add_argument("--t1", type=_finite_float, required=True)
-    p.add_argument("--dt", type=_positive_float, required=True)
-    p.add_argument("--tol", type=_positive_float, default=1e-10, help="reference-integrator tolerance")
-
-
-def _map_arguments(p: argparse.ArgumentParser):
-    p.add_argument("--p", type=_finite_float, required=True)
-    p.add_argument("--q", type=_finite_float, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-
-
-# command -> (help line, takes the common --I/--g/--output first, argument
-# builder); the runner run_<command> is looked up per call, as _suite_* are
+# The option table: command -> (help line, options, the flags of its required mutually
+# exclusive group); an option is its flag and argparse's add_argument keywords, a switch
+# with its default.  _read and _parser read it, and the runner run_<command> is looked
+# up per call, as _suite_* are.
+_COMMON = (
+    ("--I", dict(type=_positive_float, default=1.0, help="inertia moment (default 1)")),
+    ("--g", dict(type=_positive_float, default=1.0, help="gravity rate (default 1)")),
+    ("--output", dict(help="write to this path instead of stdout")),
+)
 _COMMANDS = {
-    "verify": ("run a verification suite", True, _verify_arguments),
-    "coeffs": ("emit exact series coefficients", False, _coeffs_arguments),
-    "trajectory": ("sample a libration trajectory", True, _trajectory_arguments),
-    "map": ("query the canonical map at normal coordinates (p, q)", True, _map_arguments),
+    "verify": ("run a verification suite", _COMMON + (
+        ("--suite", dict(choices=SUITES, required=True)),
+        ("--order", dict(type=_positive_int, default=200, help="series order for exact checks (default 200)")),
+        ("--tol", dict(type=_positive_float, help="override the float checks' tolerances; jacobi_periodicity "
+                       "keeps a 1e-10 floor, factorization_gamma_independent (1e-10) and "
+                       "stable_small_amplitude_frequency (1e-6) keep fixed bounds, and the exact and sign "
+                       "checks ignore it")),
+    ), ()),
+    "coeffs": ("emit exact series coefficients", (
+        ("--series", dict(choices=SERIES_NAMES, required=True)),
+        ("--order", dict(type=_positive_int, default=20)),
+        ("--format", dict(choices=("json", "csv", "text"), default="text")),
+        ("--physical", dict(action="store_true", default=False, help="rescale to physical I, g")),
+        ("--I", dict(type=_positive_fraction, default=Fraction(1), dest="I_exact",
+                     help="inertia moment as an exact rational, e.g. 1/32 (with --physical)")),
+        ("--g", dict(type=_positive_fraction, default=Fraction(1), dest="g_exact",
+                     help="gravity rate as an exact rational (with --physical)")),
+        _COMMON[2],
+    ), ()),
+    "trajectory": ("sample a libration trajectory", _COMMON + (
+        ("--method", dict(choices=dynamics.TRAJECTORY_METHODS, required=True)),
+        ("--h", dict(type=_positive_float, help="modulus h in (0, 1)")),
+        ("--energy", dict(type=_finite_float, help="libration energy (> 0)")),
+        ("--t0", dict(type=_finite_float, default=0.0)),
+        ("--t1", dict(type=_finite_float, required=True)),
+        ("--dt", dict(type=_positive_float, required=True)),
+        ("--tol", dict(type=_positive_float, default=1e-10, help="reference-integrator tolerance")),
+    ), ("--h", "--energy")),
+    "map": ("query the canonical map at normal coordinates (p, q)", _COMMON + (
+        ("--p", dict(type=_finite_float, required=True)), ("--q", dict(type=_finite_float, required=True)),
+        ("--format", dict(choices=("json", "text"), default="json")),
+    ), ()),
 }
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for a well-formed argv, from the table alone: a command, then its
+    exact flags, each at most once, as --flag value or --flag=value, a spaced value starting
+    with "-" only as a negative number.  None for any other argv, or where a value or a rule
+    fails: argparse then parses it and says what is wrong."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, exclusive = _COMMANDS[argv[0]]
+    options, values, words = dict(options), {}, iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        kw = options.get(flag)
+        if kw is None or flag in values or eq and "action" in kw:
+            return None
+        if not eq and "action" not in kw:
+            value = next(words, "-")            # a missing value reads "-", refused here
+            if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+                return None
+        try:
+            values[flag] = value = True if "action" in kw else kw.get("type", str)(value)
+        except Exception:                       # argparse calls it again, to report or re-raise
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+    if exclusive and sum(flag in values for flag in exclusive) != 1 or any(
+            kw.get("required") and flag not in values for flag, kw in options.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        kw.get("dest", flag[2:]): values.get(flag, kw.get("default")) for flag, kw in options.items()})
+
+
+def _parser(argv: list[str]):
+    """argparse's parser from the table, for help, usage errors and every argv _read
+    gives up on.  Every command is listed, for the top-level help and its errors, but
+    only the one argparse dispatches to, the first word that names one, gets its arguments."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="pend-nf", description="Pendulum normal-form toolkit: verification "
+                                     "suites, exact coefficient tables, trajectories and canonical-map queries.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((w for w in argv if w in _COMMANDS), None)
+    for command, (help_line, options, exclusive) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        if command == named:
+            p._negative_number_matcher = _NEGATIVE_NUMBER
+            group = p.add_mutually_exclusive_group(required=True) if exclusive else p
+            for flag, kw in options:
+                (group if flag in exclusive else p).add_argument(flag, **kw)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = argparse.ArgumentParser(
-        prog="pend-nf",
-        description="Pendulum normal-form toolkit: verification suites, exact "
-        "coefficient tables, trajectories and canonical-map queries.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # every command is listed, for the top-level help and its errors, but only
-    # the one argparse dispatches to, the first word that names one, gets its arguments
-    named = next((w for w in argv if w in _COMMANDS), None)
-    for command, (help_line, common, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
-        if command != named:
-            continue
-        p._negative_number_matcher = _NEGATIVE_NUMBER
-        if common:
-            p.add_argument("--I", type=_positive_float, default=1.0, help="inertia moment (default 1)")
-            p.add_argument("--g", type=_positive_float, default=1.0, help="gravity rate (default 1)")
-            p.add_argument("--output", help="write to this path instead of stdout")
-        add_arguments(p)
-    args = parser.parse_args(argv)
+    args = _read(argv) or SimpleNamespace(**vars(_parser(argv).parse_args(argv)))
     try:
         return globals()[f"run_{args.command}"](args)
     except (ValueError, ZeroDivisionError) as exc:
-        parser.exit(2, f"pend-nf: error: {exc}\n")
+        sys.stderr.write(f"pend-nf: error: {exc}\n")
+        sys.exit(2)
     except (ArithmeticError, RuntimeError) as exc:
         sys.stderr.write(f"pend-nf: check failed: {exc}\n")
         return 1

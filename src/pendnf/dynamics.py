@@ -336,7 +336,7 @@ def _action_orbit(x: float, par: PendulumParams) -> tuple[float, float, float]:
         # becomes lo or hi, a float bracket narrows finitely often, and while it stands
         # still the iterates sit on its ends: a repeat stops the loop, a 2-cycle bisects.
         y, y_back = min(max(target, lo), hi), math.nan
-        while not abs(y - y_back) <= 1e-14 * max(1.0, abs(y)):
+        while not abs(y - y_back) <= 1e-14:         # |y| <= 0.5: an absolute step
             a2, slope = _rescale_sq(y)
             val = y * a2 - target
             lo, hi = (lo, y) if val > 0.0 else (y, hi)
